@@ -15,7 +15,9 @@ I6. every file dirent points at an existing file record on the same FMS;
 I7. every file's FMS is the one consistent hashing prescribes
     (placement invariant — f-rename must move records correctly);
 I8. the DMS's in-memory ACL mirror agrees with the durable store;
-I9. every data block belongs to a live file uuid (no leaked blocks).
+I9. every data block belongs to a live file uuid (no leaked blocks);
+I10. every FMS's live-file counter (``num_files_fast``, which large
+    benchmarks check a build against) equals the inodes it stores.
 
 Used by the failure-injection tests and exposed as
 ``repro.core.fsck.check(fs)``.
@@ -135,6 +137,11 @@ def check(fs) -> FsckReport:
         else:
             file_keys = coupled_keys
         report.files += len(file_keys)
+        # I10: the maintained counter agrees with the stored inodes
+        stored = len(access_keys) if fms.decoupled else len(coupled_keys)
+        if fms.num_files_fast() != stored:
+            report.add(f"I10: {fms_name} counts {fms.num_files_fast()} live files, "
+                       f"stores {stored}")
 
         dirent_names: dict[int, dict[str, int]] = {}
         for dir_uuid, buf in fdirents.items():

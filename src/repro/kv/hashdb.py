@@ -56,7 +56,7 @@ class HashStore(KVStore):
 
         Metering is bit-identical to ``put(k1, v1)`` + ``put(k2, v2)``
         (same ops, same byte counts, same order via
-        :meth:`Meter.charge_many`); the create hot path pays one store
+        :meth:`Meter.charge_many`); an f-rename import pays one store
         frame instead of two.
         """
         self._meter.charge_many((("put", len(k1) + len(v1)),

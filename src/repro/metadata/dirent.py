@@ -20,12 +20,21 @@ from repro.common.types import DirEntry, FileType
 _HEAD = struct.Struct("<H")
 _TAIL = struct.Struct("<QB")
 
+#: longest encoded name an entry can hold (its length prefix is a u16)
+MAX_NAME_BYTES = 65535
+
 
 def pack_entry(name: str, uuid: int, ftype: FileType) -> bytes:
     raw = name.encode("utf-8")
-    if not raw or len(raw) > 65535:
+    if not raw or len(raw) > MAX_NAME_BYTES:
         raise ValueError(f"bad dirent name: {name!r}")
-    return _HEAD.pack(len(raw)) + raw + _TAIL.pack(uuid, int(ftype))
+    return pack_encoded(raw, uuid, int(ftype))
+
+
+def pack_encoded(raw: bytes, uuid: int, ftype: int) -> bytes:
+    """:func:`pack_entry` for a name the caller already encoded and
+    checked against :data:`MAX_NAME_BYTES` (the FMS create kernels)."""
+    return _HEAD.pack(len(raw)) + raw + _TAIL.pack(uuid, ftype)
 
 
 def iter_entries(buf: bytes) -> Iterator[DirEntry]:

@@ -79,15 +79,15 @@ class FixedLayout:
             f.codec.pack_into(buf, f.offset, value)
         return bytes(buf)
 
-    def pack_values(self, *values) -> bytes:
-        """Positional :meth:`pack` of *every* field, in declaration order
-        (see ``field_names``).  The hot creation paths use this to skip the
-        kwargs dict; output is byte-identical to ``pack``."""
-        if len(values) != len(self._names):
-            raise TypeError(
-                f"{self.name}: pack_values needs all {len(self._names)} fields"
-            )
-        return self._whole.pack(*values) + self._tail_pad
+    def record_codec(self) -> struct.Struct:
+        """The whole-record codec: ``record_codec().pack(*values)`` takes
+        *every* field positionally, in declaration order (see
+        ``field_names``), and is byte-identical to :meth:`pack`.  The hot
+        creation paths use it to skip the kwargs dict.  Only unpadded
+        layouts have one (the padding would need a concatenation)."""
+        if self._tail_pad:
+            raise ValueError(f"{self.name}: padded layout has no record codec")
+        return self._whole
 
     def unpack(self, buf: bytes) -> dict:
         self._check(buf)

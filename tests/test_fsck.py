@@ -155,6 +155,23 @@ class TestCorruptionDetection:
         report = check(fs)
         assert any("I7" in e or "I5" in e for e in report.errors)
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_detects_file_counter_drift(self, coupled):
+        fs = make_fs(2, decoupled_file_metadata=not coupled)
+        c = fs.client()
+        c.mkdir("/d")
+        for i in range(6):
+            c.create(f"/d/f{i}")
+        assert check(fs).clean
+        fms = next(f for f in fs.fms if f.num_files_fast())
+        fms._nfiles += 1
+        report = check(fs)
+        assert [e for e in report.errors if e.startswith("I10")] == [
+            f"I10: {fs.fms_names[fs.fms.index(fms)]} counts {fms._nfiles} live files, "
+            f"stores {fms._nfiles - 1}"
+        ]
+        assert sum(f.num_files_fast() for f in fs.fms) == report.files + 1
+
 
 # -- property test: random op sequences keep every invariant -----------------------
 

@@ -64,6 +64,13 @@ class TestFixedLayout:
         assert FILE_CONTENT.decode_field("size", raw) == 123456
         assert len(raw) == FILE_CONTENT.size("size")
 
+    def test_record_codec_matches_pack(self):
+        values = dict(mtime=1.5, atime=2.5, size=9, bsize=4096, suuid=77, sid=3)
+        codec = FILE_CONTENT.record_codec()
+        assert codec.pack(*values.values()) == FILE_CONTENT.pack(**values)
+        with pytest.raises(ValueError):
+            DIR_INODE.record_codec()  # tail-padded to 256 bytes
+
     def test_wrong_buffer_size_rejected(self):
         with pytest.raises(ValueError):
             FILE_ACCESS.read(b"\x00" * 3, "mode")

@@ -150,7 +150,7 @@ class TreeFSClient(FSClientBase):
         )
         seen: dict[str, DirEntry] = {}
         for buf in bufs:
-            for e in de.iter_entries(buf):
+            for e in de.decode(buf):
                 seen.setdefault(e.name, e)
         return sorted(seen.values(), key=lambda e: e.name)
 
@@ -525,7 +525,7 @@ class GlusterClient(TreeFSClient):
                     else:
                         file_inodes[np] = raw
                 else:
-                    for e in de.iter_entries(raw):
+                    for e in de.decode(raw):
                         entries[np].setdefault(e.name, e)
         imports: dict[str, list] = defaultdict(list)
         for np, raw in dir_inodes.items():

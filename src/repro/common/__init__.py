@@ -3,6 +3,7 @@
 from . import errors, pathutil
 from .config import BatchConfig, CacheConfig, ClusterConfig, LookupCacheConfig
 from .errors import (
+    CorruptDirents,
     CrossDevice,
     Exists,
     FSError,
@@ -25,6 +26,7 @@ __all__ = [
     "CacheConfig",
     "ClusterConfig",
     "LookupCacheConfig",
+    "CorruptDirents",
     "CrossDevice",
     "Exists",
     "FSError",

@@ -69,6 +69,16 @@ class CrossDevice(FSError):
     errno = errno.EXDEV
 
 
+class CorruptDirents(FSError):
+    """A stored dirent list does not decode: an entry runs past the end of
+    the value, its name is not UTF-8, or its type tag is unknown (EIO).
+
+    ``path`` carries a short description of where decoding stopped.
+    """
+
+    errno = errno.EIO
+
+
 class StaleHandle(FSError):
     """A cached handle or lease is no longer valid (ESTALE)."""
 

@@ -21,7 +21,7 @@ from repro.common.errors import (
     PermissionDenied,
     ServerDown,
 )
-from repro.common.types import Credentials, DirEntry, ROOT_CRED, StatResult
+from repro.common.types import Credentials, ROOT_CRED, StatResult
 from repro.fsbase import FSClientBase
 from repro.metadata import dirent as de
 from repro.metadata.acl import R_OK, W_OK, X_OK, may_access
@@ -167,9 +167,9 @@ class LocoClient(FSClientBase):
             + [Rpc(name, "readdir", (uuid,)) for name in self.fms_names]
         )
         _, subdirs = results[0]
-        entries: list[DirEntry] = list(de.iter_entries(subdirs))
+        entries = de.decode(subdirs)
         for buf in results[1:]:
-            entries.extend(de.iter_entries(buf))
+            entries += de.decode(buf)
         entries.sort(key=lambda e: e.name)
         return entries
 

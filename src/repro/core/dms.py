@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import struct
 
 from repro.common import pathutil
 from repro.common.errors import (
@@ -53,6 +54,12 @@ from repro.metadata.layout import DIR_INODE
 
 _I = b"I:"
 _E = b"E:"
+_KPREFIX = len(_I)
+_ROOT_KLEN = _KPREFIX + 1  # b"I:/", the first prefix of every path key
+_DIR_SIZE = DIR_INODE.total_size
+#: mode, uid and gid are three contiguous u32 fields of a d-inode
+_MUG_OFF = DIR_INODE.offset("mode")
+_unpack_mug = struct.Struct("<III").unpack_from
 
 
 def _ikey(path: str) -> bytes:
@@ -192,31 +199,63 @@ class DirectoryMetadataServer:
             self.touches.setdefault(op, set()).update(parts)
 
     # -- internals -----------------------------------------------------------------
-    def _acl_walk(self, path: str, cred: Credentials) -> None:
-        """Check search permission on every ancestor of ``path``.
+    def _resolve(self, path: str, cred: Credentials,
+                 fetch: bool = True) -> tuple[bytes, tuple[int, int, int, int]] | None:
+        """Check search permission on every ancestor of a normalized
+        ``path`` and, with ``fetch``, load its own record.
 
         One *local* KV get per level: all ancestors live on this server, so
         the walk costs no network round trips (§3.1) — but it is real work,
         which is why deep trees reduce DMS capacity (Fig. 13).
-        """
-        ancestors = pathutil.ancestors(path)
-        self.counters.inc("acl.walk_levels", len(ancestors))
-        for anc in ancestors:
-            buf = self.store.get(_ikey(anc))
-            if buf is None:
-                raise NoEntry(anc)
-            mode = DIR_INODE.read(buf, "mode")
-            uid = DIR_INODE.read(buf, "uid")
-            gid = DIR_INODE.read(buf, "gid")
-            if not may_access(mode, uid, gid, cred, X_OK):
-                raise PermissionDenied(anc)
 
-    def _require_dir(self, path: str) -> tuple[bytes, tuple[int, int, int, int]]:
-        buf = self.store.get(_ikey(path))
-        if buf is None:
-            raise NoEntry(path)
-        meta = self._meta[path]
-        return buf, meta
+        A single-pass kernel.  The ancestors' keys are prefixes of the
+        path's own key, cut at each ``/``; each record is probed without
+        metering and its (mode, uid, gid) unpacked in one go.  The charges
+        are exactly those of one ``store.get`` per ancestor and then one for
+        the target, in that order, and they go out in one
+        ``Meter.charge_many`` before the kernel returns or raises
+        (``NoEntry`` or ``PermissionDenied`` at the failing level, the
+        layout's ``ValueError`` for a malformed record), so virtual time is
+        bit-identical to issuing the gets one by one.  Returns the target's
+        record and mirror entry, or None without ``fetch``.
+        """
+        levels = path.count("/") if path != "/" else 0
+        self.counters.inc("acl.walk_levels", levels)
+        ikey = _I + path.encode("utf-8")
+        store = self.store
+        peek = store.peek
+        root = cred.is_root
+        charges: list[tuple[str, int]] = []
+        try:
+            end = _ROOT_KLEN
+            for _ in range(levels):
+                key = ikey[:end]
+                buf = peek(key)
+                if buf is None:
+                    charges.append(("get", end))
+                    raise NoEntry(key[_KPREFIX:].decode("utf-8"))
+                charges.append(("get", end + len(buf)))
+                if len(buf) != _DIR_SIZE:
+                    DIR_INODE.unpack(buf)  # raises the layout's size error
+                if not root:
+                    mode, uid, gid = _unpack_mug(buf, _MUG_OFF)
+                    if cred.uid == uid:
+                        mode >>= 6
+                    elif cred.gid == gid:
+                        mode >>= 3
+                    if not mode & X_OK:
+                        raise PermissionDenied(key[_KPREFIX:].decode("utf-8"))
+                end = ikey.find(b"/", end + 1)
+            if not fetch:
+                return None
+            buf = peek(ikey)
+            if buf is None:
+                charges.append(("get", len(ikey)))
+                raise NoEntry(path)
+            charges.append(("get", len(ikey) + len(buf)))
+            return buf, self._meta[path]
+        finally:
+            store._meter.charge_many(charges)
 
     # -- directory operations (Table 1 rows) --------------------------------------------
     def op_mkdir(self, path: str, mode: int, cred: Credentials, now_s: float) -> int:
@@ -233,13 +272,12 @@ class DirectoryMetadataServer:
             raise Exists(path)
         parent, name = pathutil.split(path)
         if walked is None:
-            self._acl_walk(path, cred)
+            self._resolve(path, cred, fetch=False)
         elif parent not in walked:
             # batch-local memo: entries under an already-walked parent
             # re-use its ancestor checks (one request, one resolution)
-            self._acl_walk(path, cred)
+            self._resolve(path, cred, fetch=False)
             walked.update(pathutil.ancestors(path))
-            walked.add(parent)
         pmeta = self._meta.get(parent)
         if pmeta is None:
             raise NoEntry(parent)
@@ -323,10 +361,10 @@ class DirectoryMetadataServer:
         Performs the full ancestor ACL walk server-side — the reason one
         DMS round trip suffices for any file operation (§3.1).
         """
-        self._touch("lookup", "dir")
+        if self.track_touches:
+            self._touch("lookup", "dir")
         path = pathutil.normalize(path)
-        self._acl_walk(path, cred)
-        buf, (mode, uid, gid, uuid) = self._require_dir(path)
+        buf, (mode, uid, gid, uuid) = self._resolve(path, cred)
         return {
             "path": path,
             "uuid": uuid,
@@ -342,10 +380,10 @@ class DirectoryMetadataServer:
 
     def op_readdir(self, path: str, cred: Credentials) -> tuple[int, bytes]:
         """Return (uuid, concatenated subdir dirents)."""
-        self._touch("readdir", "dir", "dirent")
+        if self.track_touches:
+            self._touch("readdir", "dir", "dirent")
         path = pathutil.normalize(path)
-        self._acl_walk(path, cred)
-        _, (_, _, _, uuid) = self._require_dir(path)
+        _, (_, _, _, uuid) = self._resolve(path, cred)
         return uuid, self.store.get(_ekey(uuid)) or b""
 
     def op_rmdir(self, path: str, cred: Credentials) -> int:
@@ -355,8 +393,7 @@ class DirectoryMetadataServer:
         path = pathutil.normalize(path)
         if path == "/":
             raise InvalidArgument(path, "cannot remove root")
-        self._acl_walk(path, cred)
-        _, (_, _, _, uuid) = self._require_dir(path)
+        _, (_, _, _, uuid) = self._resolve(path, cred)
         parent, name = pathutil.split(path)
         pmeta = self._meta[parent]
         if not may_access(pmeta[0], pmeta[1], pmeta[2], cred, W_OK | X_OK):
@@ -377,8 +414,7 @@ class DirectoryMetadataServer:
         """chmod/chown on a directory: in-place field writes, no reserialization."""
         self._touch("chmod_dir" if mode is not None else "chown_dir", "dir")
         path = pathutil.normalize(path)
-        self._acl_walk(path, cred)
-        buf, (omode, ouid, ogid, uuid) = self._require_dir(path)
+        _, (omode, ouid, ogid, uuid) = self._resolve(path, cred)
         if not cred.is_root and cred.uid != ouid:
             raise PermissionDenied(path)
         key = _ikey(path)
@@ -410,9 +446,12 @@ class DirectoryMetadataServer:
             return 0
         if pathutil.is_ancestor(old, new):
             raise InvalidArgument(new, "cannot move a directory into itself")
-        self._acl_walk(old, cred)
-        self._acl_walk(new, cred)
-        buf, (mode, uid, gid, uuid) = self._require_dir(old)
+        self._resolve(old, cred, fetch=False)
+        self._resolve(new, cred, fetch=False)
+        buf = self.store.get(_ikey(old))
+        if buf is None:
+            raise NoEntry(old)
+        uuid = self._meta[old][3]
         if self.store.get(_ikey(new)) is not None:
             raise Exists(new)
         old_parent, old_name = pathutil.split(old)

@@ -56,6 +56,11 @@ _PAIR_PUT_BYTES = 2 * len(_A) + _ACCESS_SIZE + _CONTENT_SIZE
 _pack_access = FILE_ACCESS.record_codec().pack
 _pack_content = FILE_CONTENT.record_codec().pack
 _pack_coupled = FILE_COUPLED.record_codec().pack
+_unpack_access = FILE_ACCESS.record_codec().unpack
+_unpack_content = FILE_CONTENT.record_codec().unpack
+_unpack_coupled = FILE_COUPLED.record_codec().unpack
+_ATIME = FILE_CONTENT.offset("atime")
+_ATIME_END = _ATIME + FILE_CONTENT.size("atime")
 
 #: verdicts for a create-batch probe hit (see ``_probe_verdict``)
 _APPLIED = 0   # replay of an already-durable create: return its uuid
@@ -188,18 +193,27 @@ class FileMetadataServer:
         self.store.put(_F + key, buf)
 
     # -- lookup helpers ----------------------------------------------------------------
-    def _load(self, key: bytes) -> tuple[bytes, bytes]:
-        """Return (access_buf, content_buf) or raise NoEntry."""
+    def _load(self, key: bytes, name: str) -> tuple[bytes, bytes]:
+        """Return (access_buf, content_buf) or raise ``NoEntry(name)``.
+
+        Decoupled, it reads the store's dict and charges what a ``get`` of
+        each part would (access, then content) in one ``charge_many``.
+        """
         if self.decoupled:
-            a = self.store.get(_A + key)
+            store = self.store
+            akey = _A + key
+            a = store._data.get(akey)
             if a is None:
-                raise NoEntry()
-            c = self.store.get(_C + key)
+                store._charge("get", len(akey))
+                raise NoEntry(name)
+            c = store._data.get(_C + key)
             assert c is not None, "access part exists without content part"
+            klen = len(akey)
+            store._meter.charge_many((("get", klen + len(a)), ("get", klen + len(c))))
             return a, c
         buf = self._get_coupled(key)
         if buf is None:
-            raise NoEntry()
+            raise NoEntry(name)
         return self._split_coupled(buf)
 
     @staticmethod
@@ -523,48 +537,54 @@ class FileMetadataServer:
         # torn tail can leave the inode without its dirent — repair it
         ekey = _E + dkey
         buf = self.store.get(ekey) or b""
-        if not any(e.name == name for e in dirent.iter_entries(buf)):
+        if not any(e.name == name for e in dirent.decode(buf)):
             self.store.append(ekey, dirent.pack_entry(name, uuid, FileType.FILE))
         self.counters.inc("batch.deduped")
         return _APPLIED, uuid
 
+    # The read handlers below are kernels over the store's dict: each
+    # charges exactly the gets (and puts) of the store calls it stands for,
+    # in their order and before it returns or raises, and unpacks a part
+    # with one whole-record codec call.
     def op_getattr(self, dir_uuid: int, name: str) -> dict:
         """stat on a file reads both parts (Table 1: getattr touches all)."""
-        self._touch("getattr", "access", "content")
-        a, c = self._load(fkey(dir_uuid, name))
-        out = FILE_ACCESS.unpack(a)
-        out.update(FILE_CONTENT.unpack(c))
-        return out
+        if self.track_touches:
+            self._touch("getattr", "access", "content")
+        a, c = self._load(fkey(dir_uuid, name), name)
+        ctime, mode, uid, gid = _unpack_access(a)
+        mtime, atime, size, bsize, suuid, sid = _unpack_content(c)
+        return {"ctime": ctime, "mode": mode, "uid": uid, "gid": gid,
+                "mtime": mtime, "atime": atime, "size": size, "bsize": bsize,
+                "suuid": suuid, "sid": sid}
 
     def op_open(self, dir_uuid: int, name: str, cred: Credentials, want: int) -> dict:
         """open checks the access part (content read is optional in Table 1)."""
-        self._touch("open", "access")
-        key = fkey(dir_uuid, name)
-        a, c = self._load(key)
-        mode = FILE_ACCESS.read(a, "mode")
-        if not may_access(mode, FILE_ACCESS.read(a, "uid"), FILE_ACCESS.read(a, "gid"),
-                          cred, want):
+        if self.track_touches:
+            self._touch("open", "access")
+        a, c = self._load(fkey(dir_uuid, name), name)
+        _, mode, uid, gid = _unpack_access(a)
+        if not may_access(mode, uid, gid, cred, want):
             raise PermissionDenied(name)
-        return {"uuid": FILE_CONTENT.read(c, "suuid"), "mode": mode,
-                "size": FILE_CONTENT.read(c, "size")}
+        _, _, size, _, suuid, _ = _unpack_content(c)
+        return {"uuid": suuid, "mode": mode, "size": size}
 
     def op_access(self, dir_uuid: int, name: str, cred: Credentials, want: int) -> bool:
         """access(2): touches only the access part."""
-        self._touch("access", "access")
+        if self.track_touches:
+            self._touch("access", "access")
         key = fkey(dir_uuid, name)
         if self.decoupled:
-            a = self.store.get(_A + key)
+            store = self.store
+            akey = _A + key
+            a = store._data.get(akey)
             if a is None:
+                store._charge("get", len(akey))
                 raise NoEntry(name)
+            store._charge("get", len(akey) + len(a))
         else:
-            a, _ = self._load(key)
-        return may_access(
-            FILE_ACCESS.read(a, "mode"),
-            FILE_ACCESS.read(a, "uid"),
-            FILE_ACCESS.read(a, "gid"),
-            cred,
-            want,
-        )
+            a, _ = self._load(key, name)
+        _, mode, uid, gid = _unpack_access(a)
+        return may_access(mode, uid, gid, cred, want)
 
     def op_setattr(self, dir_uuid: int, name: str, cred: Credentials, now_s: float,
                    mode: int | None = None, uid: int | None = None,
@@ -664,33 +684,42 @@ class FileMetadataServer:
                 "bsize": FILE_COUPLED.read(buf, "bsize"), "size": size}
 
     def op_read_meta(self, dir_uuid: int, name: str, now_s: float) -> dict:
-        """Metadata side of a read: atime bump + size/uuid (content part)."""
-        self._touch("read", "content")
+        """Metadata side of a read: atime bump + size/uuid (content part).
+
+        Decoupled, the charges are the content part's ``get`` and then the
+        in-place atime ``write_at`` (its ``get`` + ``put``).
+        """
+        if self.track_touches:
+            self._touch("read", "content")
         key = fkey(dir_uuid, name)
         if self.decoupled:
+            store = self.store
             ckey = _C + key
-            c = self.store.get(ckey)
+            c = store._data.get(ckey)
             if c is None:
+                store._charge("get", len(ckey))
                 raise NoEntry(name)
-            self.store.write_at(ckey, FILE_CONTENT.offset("atime"),
-                                FILE_CONTENT.encode_field("atime", now_s))
-            return {"uuid": FILE_CONTENT.read(c, "suuid"),
-                    "bsize": FILE_CONTENT.read(c, "bsize"),
-                    "size": FILE_CONTENT.read(c, "size")}
+            n = len(ckey) + len(c)
+            store._meter.charge_many((("get", n), ("get", n), ("put", n)))
+            new = c[:_ATIME] + FILE_CONTENT.encode_field("atime", now_s) + c[_ATIME_END:]
+            if store._wal is not None:
+                store._wal.append_put(ckey, new)
+            store._data[ckey] = new
+            _, _, size, bsize, suuid, _ = _unpack_content(c)
+            return {"uuid": suuid, "bsize": bsize, "size": size}
         buf = self._get_coupled(key)
         if buf is None:
             raise NoEntry(name)
         buf = FILE_COUPLED.write(buf, "atime", now_s)
         self._put_coupled(key, buf)
-        return {"uuid": FILE_COUPLED.read(buf, "suuid"),
-                "bsize": FILE_COUPLED.read(buf, "bsize"),
-                "size": FILE_COUPLED.read(buf, "size")}
+        _, _, _, _, _, _, size, bsize, suuid, _, _ = _unpack_coupled(buf)
+        return {"uuid": suuid, "bsize": bsize, "size": size}
 
     def op_remove(self, dir_uuid: int, name: str, cred: Credentials) -> dict:
         """unlink: touches access + content + dirent (Table 1 'remove')."""
         self._touch("remove", "access", "content", "dirent")
         key = fkey(dir_uuid, name)
-        a, c = self._load(key)
+        a, c = self._load(key, name)
         self._check_owner(a, cred, name)
         if self.decoupled:
             self.store.delete(_A + key)
@@ -713,8 +742,13 @@ class FileMetadataServer:
     # -- directory support ------------------------------------------------------------
     def op_readdir(self, dir_uuid: int) -> bytes:
         """The dirents of this directory's files that live on this FMS."""
-        self._touch("readdir", "dirent")
-        return self.store.get(_E + dir_uuid.to_bytes(8, "big")) or b""
+        if self.track_touches:
+            self._touch("readdir", "dirent")
+        store = self.store
+        ekey = _E + dir_uuid.to_bytes(8, "big")
+        buf = store._data.get(ekey)
+        store._charge("get", len(ekey) + (len(buf) if buf is not None else 0))
+        return buf or b""
 
     def op_has_files(self, dir_uuid: int) -> bool:
         """rmdir support: does this FMS hold any file of the directory?"""
@@ -729,7 +763,7 @@ class FileMetadataServer:
         """
         self._touch("rename", "access", "content", "dirent")
         key = fkey(dir_uuid, name)
-        a, c = self._load(key)
+        a, c = self._load(key, name)
         self._check_owner(a, cred, name)
         if self.decoupled:
             self.store.delete(_A + key)

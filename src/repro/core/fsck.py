@@ -19,6 +19,10 @@ I9. every data block belongs to a live file uuid (no leaked blocks);
 I10. every FMS's live-file counter (``num_files_fast``, which large
     benchmarks check a build against) equals the inodes it stores.
 
+A dirent list that does not decode is reported as a "corrupt dirent
+list" of its directory and server; the checks that need its entries skip
+it and every other check goes on.
+
 Used by the failure-injection tests and exposed as
 ``repro.core.fsck.check(fs)``.
 """
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common import pathutil
+from repro.common.errors import CorruptDirents
 from repro.metadata import dirent as de
 from repro.metadata.chash import ConsistentHashRing, file_placement_key
 from repro.metadata.layout import DIR_INODE, FILE_CONTENT
@@ -61,6 +66,15 @@ class FsckReport:
                 f"{self.blocks} blocks")
 
 
+def _decode(report: FsckReport, buf: bytes, dir_uuid: int, server: str) -> list | None:
+    """The entries of one dirent list, or None (reported) if it is corrupt."""
+    try:
+        return de.decode(buf)
+    except CorruptDirents as err:
+        report.add(f"corrupt dirent list of directory {dir_uuid} on {server}: {err}")
+        return None
+
+
 def check(fs) -> FsckReport:
     """Run all invariants against a :class:`repro.core.fs.LocoFS` deployment."""
     report = FsckReport()
@@ -68,13 +82,15 @@ def check(fs) -> FsckReport:
 
     # -- collect DMS state -------------------------------------------------------
     dir_inodes: dict[str, int] = {}  # path -> uuid
-    subdir_dirents: dict[int, bytes] = {}  # dir uuid -> dirent buf
+    # dir uuid -> its subdir dirents (None: the list does not decode)
+    subdir_dirents: dict[int, list | None] = {}
     for key, value in dms.store.items():
         if key.startswith(_I):
             path = key[len(_I):].decode()
             dir_inodes[path] = DIR_INODE.read(value, "uuid")
         elif key.startswith(_E):
-            subdir_dirents[int.from_bytes(key[len(_E):], "big")] = value
+            dir_uuid = int.from_bytes(key[len(_E):], "big")
+            subdir_dirents[dir_uuid] = _decode(report, value, dir_uuid, "dms")
     report.directories = len(dir_inodes)
 
     # I1 + I2: parents exist; each dir is linked once with the right uuid
@@ -86,11 +102,14 @@ def check(fs) -> FsckReport:
         if parent not in uuid_by_path:
             report.add(f"I1: orphan directory {path!r}: parent missing")
             continue
-        pbuf = subdir_dirents.get(uuid_by_path[parent])
-        if pbuf is None:
+        puuid = uuid_by_path[parent]
+        if puuid not in subdir_dirents:
             report.add(f"I2: parent of {path!r} has no dirent list")
             continue
-        hits = [e for e in de.iter_entries(pbuf) if e.name == name]
+        entries = subdir_dirents[puuid]
+        if entries is None:
+            continue
+        hits = [e for e in entries if e.name == name]
         if len(hits) != 1:
             report.add(f"I2: {path!r} linked {len(hits)} times in parent")
         elif hits[0].uuid != uuid:
@@ -98,12 +117,12 @@ def check(fs) -> FsckReport:
 
     # I3: every subdir dirent resolves
     paths_by_uuid = {u: p for p, u in dir_inodes.items()}
-    for dir_uuid, buf in subdir_dirents.items():
+    for dir_uuid, entries in subdir_dirents.items():
         holder = paths_by_uuid.get(dir_uuid)
         if holder is None:
             report.add(f"I3: dirent list for unknown directory uuid {dir_uuid}")
             continue
-        for e in de.iter_entries(buf):
+        for e in entries or ():
             child = pathutil.join(holder, e.name)
             if child not in dir_inodes:
                 report.add(f"I3: dangling subdir dirent {child!r}")
@@ -143,16 +162,19 @@ def check(fs) -> FsckReport:
             report.add(f"I10: {fms_name} counts {fms.num_files_fast()} live files, "
                        f"stores {stored}")
 
-        dirent_names: dict[int, dict[str, int]] = {}
+        # dir uuid -> {name: uuid} (None: the list does not decode)
+        dirent_names: dict[int, dict[str, int] | None] = {}
         for dir_uuid, buf in fdirents.items():
-            dirent_names[dir_uuid] = {e.name: e.uuid for e in de.iter_entries(buf)}
+            entries = _decode(report, buf, dir_uuid, fms_name)
+            dirent_names[dir_uuid] = (
+                None if entries is None else {e.name: e.uuid for e in entries})
 
         for fkey_ in file_keys:
             dir_uuid = int.from_bytes(fkey_[:8], "big")
             fname = fkey_[8:].decode()
             # I5: exactly one dirent, matching uuid
             names = dirent_names.get(dir_uuid, {})
-            if fname not in names:
+            if names is not None and fname not in names:
                 report.add(f"I5: file {fname!r} (dir {dir_uuid}) missing dirent on {fms_name}")
             else:
                 cbuf = fms.store.get((_C if fms.decoupled else _F) + fkey_)
@@ -163,7 +185,7 @@ def check(fs) -> FsckReport:
 
                     fuuid = FILE_COUPLED.read(cbuf, "suuid")
                 live_file_uuids.add(fuuid)
-                if names[fname] != fuuid:
+                if names is not None and names[fname] != fuuid:
                     report.add(f"I5: dirent uuid mismatch for {fname!r} on {fms_name}")
             # I7: placement
             expected = ring.lookup(file_placement_key(dir_uuid, fname))
@@ -172,7 +194,7 @@ def check(fs) -> FsckReport:
                            f"hashing says {expected}")
         # I6: dirents resolve to files on this FMS
         for dir_uuid, names in dirent_names.items():
-            for fname in names:
+            for fname in names or ():
                 k = dir_uuid.to_bytes(8, "big") + fname.encode()
                 present = (k in access_keys) if fms.decoupled else (k in coupled_keys)
                 if not present:

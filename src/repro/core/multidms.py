@@ -335,7 +335,7 @@ class MultiDMSClient(LocoClient):
             [Rpc(n, "readdir", (uuid,)) for n in self.fms_names])
         entries = []
         for buf in results:
-            entries.extend(de.iter_entries(buf))
+            entries += de.decode(buf)
         entries.sort(key=lambda e: e.name)
         return entries
 

@@ -17,6 +17,7 @@ crash recovery like the LSM store.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 
 from .api import KVStore, prefix_upper_bound
@@ -65,16 +66,10 @@ class BTreeStore(KVStore):
             self._wal = WriteAheadLog(wal_path)
 
     # -- navigation ------------------------------------------------------------
-    @staticmethod
-    def _child_index(node: _Internal, key: bytes) -> int:
-        import bisect
-
-        return bisect.bisect_right(node.keys, key)
-
     def _find_leaf(self, key: bytes) -> _Leaf:
         node = self._root
         while isinstance(node, _Internal):
-            node = node.children[self._child_index(node, key)]
+            node = node.children[bisect_right(node.keys, key)]
         return node  # type: ignore[return-value]
 
     def _leftmost_leaf(self) -> _Leaf:
@@ -85,14 +80,24 @@ class BTreeStore(KVStore):
 
     # -- core ops ---------------------------------------------------------------
     def get(self, key: bytes) -> bytes | None:
-        import bisect
-
         leaf = self._find_leaf(key)
-        i = bisect.bisect_left(leaf.keys, key)
+        i = bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:
-            self.meter.charge("get", len(key) + len(leaf.values[i]))
+            self._charge("get", len(key) + len(leaf.values[i]))
             return leaf.values[i]
-        self.meter.charge("get", len(key))
+        self._charge("get", len(key))
+        return None
+
+    def peek(self, key: bytes) -> bytes | None:
+        """The value for ``key`` (or None) without charging the meter —
+        for handler kernels that charge their reads themselves."""
+        node = self._root
+        while type(node) is _Internal:
+            node = node.children[bisect_right(node.keys, key)]
+        keys = node.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return node.values[i]
         return None
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -114,10 +119,8 @@ class BTreeStore(KVStore):
         self, node: object, key: bytes, value: bytes
     ) -> tuple[bytes, object] | None:
         """Insert under ``node``; if it splits, return (separator, new right sibling)."""
-        import bisect
-
         if isinstance(node, _Leaf):
-            i = bisect.bisect_left(node.keys, key)
+            i = bisect_left(node.keys, key)
             if i < len(node.keys) and node.keys[i] == key:
                 node.values[i] = value
                 return None
@@ -137,7 +140,7 @@ class BTreeStore(KVStore):
             return right.keys[0], right
 
         assert isinstance(node, _Internal)
-        idx = self._child_index(node, key)
+        idx = bisect_right(node.keys, key)
         split = self._insert_rec(node.children[idx], key, value)
         if split is None:
             return None
@@ -162,10 +165,8 @@ class BTreeStore(KVStore):
         return self._remove(key)
 
     def _remove(self, key: bytes) -> bool:
-        import bisect
-
         leaf = self._find_leaf(key)
-        i = bisect.bisect_left(leaf.keys, key)
+        i = bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:
             del leaf.keys[i]
             del leaf.values[i]
@@ -178,13 +179,11 @@ class BTreeStore(KVStore):
 
     # -- batched point ops --------------------------------------------------------
     def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        import bisect
-
         out: list[bytes | None] = []
         nbytes = 0
         for key in keys:
             leaf = self._find_leaf(key)
-            i = bisect.bisect_left(leaf.keys, key)
+            i = bisect_left(leaf.keys, key)
             if i < len(leaf.keys) and leaf.keys[i] == key:
                 value = leaf.values[i]
                 nbytes += len(key) + len(value)
@@ -217,12 +216,10 @@ class BTreeStore(KVStore):
 
     def scan(self, start: bytes, end: bytes | None) -> Iterator[tuple[bytes, bytes]]:
         """start <= key < end; ``end=None`` scans to the end of the keyspace."""
-        import bisect
-
         self.meter.charge("seek", len(start))
         leaf: _Leaf | None = self._find_leaf(start)
         assert leaf is not None
-        i = bisect.bisect_left(leaf.keys, start)
+        i = bisect_left(leaf.keys, start)
         while leaf is not None:
             keys = list(leaf.keys)
             values = list(leaf.values)

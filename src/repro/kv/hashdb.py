@@ -36,6 +36,11 @@ class HashStore(KVStore):
         self._charge("get", len(key) + (len(value) if value is not None else 0))
         return value
 
+    def peek(self, key: bytes) -> bytes | None:
+        """The value for ``key`` (or None) without charging the meter —
+        for handler kernels that charge their reads themselves."""
+        return self._data.get(key)
+
     def put(self, key: bytes, value: bytes) -> None:
         self._charge("put", len(key) + len(value))
         if self._wal is not None:

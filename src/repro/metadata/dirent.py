@@ -13,12 +13,17 @@ Entry wire format: ``[u16 name_len][name utf-8][u64 uuid][u8 type]``.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
 
+from repro.common.errors import CorruptDirents
 from repro.common.types import DirEntry, FileType
 
 _HEAD = struct.Struct("<H")
 _TAIL = struct.Struct("<QB")
+_HEAD_SIZE = _HEAD.size
+_TAIL_SIZE = _TAIL.size
+_unpack_tail = _TAIL.unpack_from
+#: type tag -> member, so decoding skips the enum constructor per entry
+_FTYPES = {int(t): t for t in FileType}
 
 #: longest encoded name an entry can hold (its length prefix is a u16)
 MAX_NAME_BYTES = 65535
@@ -37,21 +42,41 @@ def pack_encoded(raw: bytes, uuid: int, ftype: int) -> bytes:
     return _HEAD.pack(len(raw)) + raw + _TAIL.pack(uuid, ftype)
 
 
-def iter_entries(buf: bytes) -> Iterator[DirEntry]:
-    off = 0
+def decode(buf: bytes) -> list[DirEntry]:
+    """Every entry of a dirent list, in one pass.
+
+    Each entry is bounds-checked before it is read: an entry that runs past
+    the end of ``buf``, a name that is not UTF-8, or an unknown type tag
+    raises :class:`~repro.common.errors.CorruptDirents` naming the byte
+    offset where decoding stopped.
+    """
+    out: list[DirEntry] = []
+    append = out.append
     n = len(buf)
+    off = 0
     while off < n:
-        (nlen,) = _HEAD.unpack_from(buf, off)
-        off += _HEAD.size
-        name = buf[off : off + nlen].decode("utf-8")
-        off += nlen
-        uuid, ftype = _TAIL.unpack_from(buf, off)
-        off += _TAIL.size
-        yield DirEntry(name, uuid, FileType(ftype))
+        start = off + _HEAD_SIZE
+        if start > n:
+            raise _corrupt(off, n)
+        end = start + (buf[off] | buf[off + 1] << 8)  # the u16 name length
+        nxt = end + _TAIL_SIZE
+        if nxt > n:
+            raise _corrupt(off, n)
+        uuid, tag = _unpack_tail(buf, end)
+        try:
+            append(DirEntry(buf[start:end].decode("utf-8"), uuid, _FTYPES[tag]))
+        except (UnicodeDecodeError, KeyError):
+            raise _corrupt(off, n) from None
+        off = nxt
+    return out
+
+
+def _corrupt(off: int, n: int) -> CorruptDirents:
+    return CorruptDirents(f"corrupt dirent list: entry at byte {off} of {n}")
 
 
 def find_entry(buf: bytes, name: str) -> DirEntry | None:
-    for e in iter_entries(buf):
+    for e in decode(buf):
         if e.name == name:
             return e
     return None
@@ -61,7 +86,7 @@ def remove_entry(buf: bytes, name: str) -> tuple[bytes, bool]:
     """Return (new_buf, removed)."""
     out = bytearray()
     removed = False
-    for e in iter_entries(buf):
+    for e in decode(buf):
         if not removed and e.name == name:
             removed = True
             continue
@@ -70,8 +95,8 @@ def remove_entry(buf: bytes, name: str) -> tuple[bytes, bool]:
 
 
 def count_entries(buf: bytes) -> int:
-    return sum(1 for _ in iter_entries(buf))
+    return len(decode(buf))
 
 
 def names(buf: bytes) -> list[str]:
-    return [e.name for e in iter_entries(buf)]
+    return [e.name for e in decode(buf)]

@@ -258,7 +258,7 @@ class TestIdempotentCreateBatch:
         buf = fms.store.get(b"E:" + (5).to_bytes(8, "big"))
         from repro.metadata import dirent
 
-        assert sorted(e.name for e in dirent.iter_entries(buf)) == ["a", "b", "c"]
+        assert sorted(e.name for e in dirent.decode(buf)) == ["a", "b", "c"]
 
     def test_genuine_conflict_still_reported(self, tmp_path):
         fms = FileMetadataServer(sid=1, wal_path=str(tmp_path / "f.wal"))
@@ -295,7 +295,7 @@ class TestIdempotentCreateBatch:
         buf = fms.store.get(b"E:" + (5).to_bytes(8, "big"))
         from repro.metadata import dirent
 
-        assert sorted(e.name for e in dirent.iter_entries(buf)) == ["a", "b", "c", "d"]
+        assert sorted(e.name for e in dirent.decode(buf)) == ["a", "b", "c", "d"]
 
 
 class TestBatchedClientRequeue:

@@ -384,4 +384,4 @@ def test_longest_name_is_accepted():
     name = "y" * 65535
     uuid = fms.op_create(5, name, 0o644, CRED, 1.0)
     buf = fms.op_readdir(5)
-    assert [(e.name, e.uuid) for e in dirent.iter_entries(buf)] == [(name, uuid)]
+    assert [(e.name, e.uuid) for e in dirent.decode(buf)] == [(name, uuid)]

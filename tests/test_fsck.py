@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, ClusterConfig
-from repro.common.errors import FSError
+from repro.common.errors import CorruptDirents, FSError
 from repro.core.fs import LocoFS
 from repro.core.fsck import check
 
@@ -171,6 +171,33 @@ class TestCorruptionDetection:
             f"stores {fms._nfiles - 1}"
         ]
         assert sum(f.num_files_fast() for f in fs.fms) == report.files + 1
+
+
+@pytest.mark.parametrize("server", ["fms", "dms"])
+def test_corrupt_dirent_list_is_reported_and_checking_goes_on(server):
+    fs = make_fs(1)
+    c = fs.client()
+    c.mkdir("/d")
+    c.mkdir("/d/sub")
+    c.mkdir("/e")
+    c.create("/d/f")
+    c.create("/d/g")
+    c.write("/d/f", 0, b"x" * 100)  # its block must not read as leaked (I9)
+    uuid = fs.dms._meta["/d"][3]
+    store, name = (fs.fms[0].store, fs.fms_names[0]) if server == "fms" else (fs.dms.store, "dms")
+    key = b"E:" + uuid.to_bytes(8, "big")
+    store.put(key, store.get(key)[:-3])
+    # an unrelated defect elsewhere must still be found
+    mode, uid, gid, euuid = fs.dms._meta["/e"]
+    fs.dms._meta["/e"] = (mode ^ 0o1, uid, gid, euuid)
+    report = check(fs)
+    assert len(report.errors) == 2, report.errors
+    corrupt, stale = report.errors
+    assert corrupt.startswith(f"corrupt dirent list of directory {uuid} on {name}: ")
+    assert stale.startswith("I8")
+    with pytest.raises(CorruptDirents) as err:
+        c.readdir("/d")
+    assert isinstance(err.value, FSError)
 
 
 # -- property test: random op sequences keep every invariant -----------------------

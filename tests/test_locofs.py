@@ -41,6 +41,26 @@ class TestLocoFSSemantics(FSSemantics):
     """Run the shared contract over four LocoFS configurations."""
 
 
+_MISSING_FILE_OPS = {
+    "stat": lambda c: c.stat("/d/nope"),
+    "chmod": lambda c: c.chmod("/d/nope", 0o600),
+    "access": lambda c: c.access("/d/nope"),
+    "read": lambda c: c.read("/d/nope", 0, 1),
+    "truncate": lambda c: c.truncate("/d/nope", 0),
+    "open": lambda c: c.open("/d/nope"),
+    "unlink": lambda c: c.unlink("/d/nope"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_MISSING_FILE_OPS))
+def test_missing_file_errors_name_the_file(fs_client, op):
+    fs_client.mkdir("/d")
+    with pytest.raises(NoEntry) as err:
+        _MISSING_FILE_OPS[op](fs_client)
+    assert err.value.path in ("/d/nope", "nope")
+    assert str(err.value) == f"NoEntry: {err.value.path}"
+
+
 class TestLocoFSSpecific:
     def test_flattened_tree_file_count_per_fms(self):
         # files distribute across FMS servers via consistent hashing

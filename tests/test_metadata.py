@@ -99,7 +99,7 @@ class TestDirent:
     def test_pack_iter_roundtrip(self):
         buf = dirent.pack_entry("file.txt", 42, FileType.FILE)
         buf += dirent.pack_entry("subdir", 43, FileType.DIRECTORY)
-        got = list(dirent.iter_entries(buf))
+        got = dirent.decode(buf)
         assert got == [
             DirEntry("file.txt", 42, FileType.FILE),
             DirEntry("subdir", 43, FileType.DIRECTORY),

@@ -173,14 +173,14 @@ class AsyncLocoClient(BatchingLocoClient):
             return None if (e[3], e[4]) == key else False
         return False  # unlink / unlink_opt
 
-    def _g_enq_fms(self, server: str, entry: tuple, wire: int,
-                   lease_path: str, path_hint: str | None = None,
-                   capture: bool = True) -> Generator:
-        """Append one tagged entry; capture its span; flush when full.
+    def _enq_fms(self, server: str, entry: tuple, wire: int,
+                 lease_path: str, path_hint: str | None = None) -> bool:
+        """Append one tagged entry to ``server``'s queue.
 
-        ``capture=False`` suppresses the origin capture for follow-up
-        entries of an op that already captured its span once (a deferred
-        rename re-keys several entries — one link per op span).
+        Returns True when the op has to go on into :meth:`_g_enq_done` —
+        a tracer or metrics registry wants its span linked, or the queue
+        is full; otherwise the enqueue yields nothing and the op builds no
+        generator frame for it.
         """
         pend = self._queue_for(server)
         idx = len(pend.entries)
@@ -193,14 +193,28 @@ class AsyncLocoClient(BatchingLocoClient):
             pend.dirs.add(key[0])
         pend.lease_paths.add(lease_path)
         pend.nbytes += wire
+        return self._obs_detailed or self._queue_full(pend)
+
+    def _queue_full(self, pend: _AsyncQueue) -> bool:
+        return (sum(1 for e in pend.entries if e is not None) >= self.batch_max_ops
+                or pend.nbytes >= self.batch_max_bytes)
+
+    def _g_enq_done(self, server: str, capture: bool = True) -> Generator:
+        """The rest of an enqueue: capture the op's span, then flush the
+        queue when it is full.
+
+        ``capture=False`` suppresses the origin capture for follow-up
+        entries of an op that already captured its span once (a deferred
+        rename re-keys several entries — one link per op span).
+        """
+        pend = self._pending[server]
         if self._obs_detailed:
             if capture:
                 origin = yield SpanCapture()
                 if origin is not None:
                     pend.origins.append(origin)
             self._set_queue_gauge()
-        if (sum(1 for e in pend.entries if e is not None) >= self.batch_max_ops
-                or pend.nbytes >= self.batch_max_bytes):
+        if self._queue_full(pend):
             yield from self._g_flush_server(server, "full")
 
     def _g_capture_into(self, pend: _AsyncQueue) -> Generator:
@@ -208,13 +222,12 @@ class AsyncLocoClient(BatchingLocoClient):
 
         Used when an op *coalesces* into an already-queued entry instead
         of appending its own: its durability still rides that entry's
-        flush, so analyze must see the batch-flush link.
+        flush, so analyze must see the batch-flush link.  Entered only
+        when a tracer or metrics registry is attached.
         """
-        if self._obs_detailed:
-            origin = yield SpanCapture()
-            if origin is not None:
-                pend.origins.append(origin)
-        return None
+        origin = yield SpanCapture()
+        if origin is not None:
+            pend.origins.append(origin)
 
     def _tombstone(self, pend: _AsyncQueue, key) -> None:
         """Dead-mark every live entry of ``key`` (annihilation / move)."""
@@ -423,6 +436,12 @@ class AsyncLocoClient(BatchingLocoClient):
             raise errs[0]
         return out
 
+    def _stale_due(self) -> bool:
+        now = self._clock.now
+        limit = self.batch_max_age_us
+        return bool((self._dms_entries and now - self._dms_oldest_us >= limit)
+                    or (self._pending and now - self._oldest_pending_us >= limit))
+
     def _g_flush_stale(self) -> Generator:
         if self._dms_entries:
             if self.now_us - self._dms_oldest_us >= self.batch_max_age_us:
@@ -435,14 +454,23 @@ class AsyncLocoClient(BatchingLocoClient):
         yield from super()._g_flush()
 
     # -- directory resolution (d-cache -> cache tier -> DMS) ----------------------------
+    # Call sites on the warm path probe the d-cache inline with
+    # ``_dir_cached`` and enter ``_g_dir_fetch`` only when it returns None,
+    # so a hit builds no generator frame; ``_g_dir`` is the same pair.
     def _g_dir(self, path: str) -> Generator:
         path = pathutil.normalize(path)
+        info = self._dir_cached(path)
+        if info is None:
+            info = yield from self._g_dir_fetch(path)
+        return info
+
+    def _g_dir_fetch(self, path: str) -> Generator:
         observed = self._obs_detailed
-        if self.cache_enabled:
+        if observed and self.cache_enabled:
+            # the observed route: _dir_cached did not probe
             hit = self.dcache.get(path, self.now_us)
             if hit is not None:
-                if observed:
-                    yield Mark("client.cache.hit", {"path": path})
+                yield Mark("client.cache.hit", {"path": path})
                 return hit
         if path in self._dms_dirty:
             # the optimistic d-cache entry of a pending mkdir expired (or
@@ -464,32 +492,35 @@ class AsyncLocoClient(BatchingLocoClient):
         return info
 
     # -- deferred mkdir ------------------------------------------------------------------
-    def _g_reserved_uuid(self) -> Generator:
-        if self._uuid_next >= self._uuid_end:
-            start, n = yield Rpc(DMS, "reserve_uuids", (self.uuid_reserve,))
-            self._uuid_next, self._uuid_end = start, start + n
-        uuid = self._uuid_next
-        self._uuid_next += 1
-        return uuid
+    def _g_reserve_uuids(self) -> Generator:
+        """Refill the client-reserved uuid pool (one DMS round trip)."""
+        start, n = yield Rpc(DMS, "reserve_uuids", (self.uuid_reserve,))
+        self._uuid_next, self._uuid_end = start, start + n
 
     def _g_mkdir(self, path: str, mode: int = 0o755) -> Generator:
         if self.strict_collisions:
             # the cross-keyspace probe needs synchronous semantics
             return (yield from super()._g_mkdir(path, mode))
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         now = self.now_s
         path = pathutil.normalize(path)
         if path == "/":
             raise Exists(path)
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
         if not may_access(info["mode"], info["uid"], info["gid"], self.cred,
                           W_OK | X_OK):
             raise errmod.PermissionDenied(parent)
         if path in self._dms_dirty or (
                 self.cache_enabled and self.dcache.get(path, self.now_us) is not None):
             raise Exists(path)
-        uuid = yield from self._g_reserved_uuid()
+        if self._uuid_next >= self._uuid_end:
+            yield from self._g_reserve_uuids()
+        uuid = self._uuid_next
+        self._uuid_next += 1
         idx = len(self._dms_entries)
         self._dms_entries.append(("mkdir", path, mode, self.cred, now, uuid))
         self._dms_dirty.setdefault(path, []).append(idx)
@@ -530,12 +561,15 @@ class AsyncLocoClient(BatchingLocoClient):
             self.create(pathutil.join(dir_path, name), mode)
 
     def _g_create(self, path: str, mode: int = 0o644) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         now = self.now_s
         parent, name = pathutil.split_fast(path)
         if not name:
             raise Exists(path)
-        info = yield from self._g_dir(parent)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
         perm = (info["mode"], info["uid"], info["gid"])
         if perm != self._perm_ok:
             self._check_parent_write(info)
@@ -551,16 +585,20 @@ class AsyncLocoClient(BatchingLocoClient):
             # the queue already ends with this file existing — same verdict
             # the server probe would reach at flush time
             raise Exists(path)
-        yield from self._g_enq_fms(
-            server, ("create", dir_uuid, name, mode, self.cred, now, self.block_size),
-            _CREATE_WIRE_BASE + len(name), info["path"])
+        if self._enq_fms(
+                server, ("create", dir_uuid, name, mode, self.cred, now, self.block_size),
+                _CREATE_WIRE_BASE + len(name), info["path"]):
+            yield from self._g_enq_done(server)
         return None
 
     # -- deferred unlink (with create annihilation) --------------------------------------
     def _g_unlink(self, path: str) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
         self._check_parent_write(info)
         dir_uuid = info["uuid"]
         key = (dir_uuid, name)
@@ -578,14 +616,16 @@ class AsyncLocoClient(BatchingLocoClient):
                 self._tombstone(pend, key)
                 self.annihilations += 1
                 kind = "unlink_opt"
-        yield from self._g_enq_fms(server, (kind, dir_uuid, name, self.cred),
-                                   _OP_WIRE_BASE + len(name), info["path"])
+        if self._enq_fms(server, (kind, dir_uuid, name, self.cred),
+                         _OP_WIRE_BASE + len(name), info["path"]):
+            yield from self._g_enq_done(server)
         return None
 
     # -- deferred setattr / chmod / chown (last-write coalescing) ------------------------
     def _g_setattr_any(self, path: str, mode: int | None, uid: int | None,
                        gid: int | None) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         now = self.now_s
         path = pathutil.normalize(path)
         kwargs = {}
@@ -611,7 +651,9 @@ class AsyncLocoClient(BatchingLocoClient):
             if not is_file:
                 yield from self._g_dsetattr(path, dinfo, now, mode, uid, gid)
                 return
-        info = yield from self._g_dir(parent)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
         dir_uuid = info["uuid"]
         key = (dir_uuid, name)
         server = self._fms_for(dir_uuid, name)
@@ -626,7 +668,8 @@ class AsyncLocoClient(BatchingLocoClient):
                     # chmod folds into the pending create itself
                     pend.entries[i] = e[:3] + (mode,) + e[4:]
                     self.coalesced += 1
-                    yield from self._g_capture_into(pend)
+                    if self._obs_detailed:
+                        yield from self._g_capture_into(pend)
                     return
                 if e[0] == "setattr":
                     # last-write-wins field merge
@@ -635,12 +678,14 @@ class AsyncLocoClient(BatchingLocoClient):
                                        uid if uid is not None else e[6],
                                        gid if gid is not None else e[7])
                     self.coalesced += 1
-                    yield from self._g_capture_into(pend)
+                    if self._obs_detailed:
+                        yield from self._g_capture_into(pend)
                     return
                 break  # any other kind: order matters, append a fresh entry
-        yield from self._g_enq_fms(
-            server, ("setattr", dir_uuid, name, self.cred, now, mode, uid, gid),
-            _OP_WIRE_BASE + len(name), info["path"], path_hint=path)
+        if self._enq_fms(
+                server, ("setattr", dir_uuid, name, self.cred, now, mode, uid, gid),
+                _OP_WIRE_BASE + len(name), info["path"], path_hint=path):
+            yield from self._g_enq_done(server)
         return None
 
     def _g_file_exists(self, parent: str, name: str) -> Generator:
@@ -650,7 +695,9 @@ class AsyncLocoClient(BatchingLocoClient):
         rename-away of the key; otherwise the key is flushed (if dirty)
         and the owning FMS probed.
         """
-        info = yield from self._g_dir(parent)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
         dir_uuid = info["uuid"]
         server = self._fms_for(dir_uuid, name)
         occupied = self._key_occupied(server, (dir_uuid, name))
@@ -718,7 +765,8 @@ class AsyncLocoClient(BatchingLocoClient):
 
     # -- deferred rename -----------------------------------------------------------------
     def _g_rename(self, old: str, new: str) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         old = pathutil.normalize(old)
         new = pathutil.normalize(new)
         if old == new:
@@ -730,7 +778,9 @@ class AsyncLocoClient(BatchingLocoClient):
             yield from self._g_rename_dir_sync(old, new)
             return
         src_parent, src_name = pathutil.split(old)
-        sinfo = yield from self._g_dir(src_parent)
+        sinfo = self._dir_cached(src_parent)
+        if sinfo is None:
+            sinfo = yield from self._g_dir_fetch(src_parent)
         skey = (sinfo["uuid"], src_name)
         src_fms = self._fms_for(*skey)
         if skey not in self._dirty:
@@ -739,7 +789,9 @@ class AsyncLocoClient(BatchingLocoClient):
                 yield from self._g_rename_dir_sync(old, new)
                 return
         dst_parent, dst_name = pathutil.split(new)
-        dinfo = yield from self._g_dir(dst_parent)
+        dinfo = self._dir_cached(dst_parent)
+        if dinfo is None:
+            dinfo = yield from self._g_dir_fetch(dst_parent)
         self._check_parent_write(sinfo)
         self._check_parent_write(dinfo)
         dkey = (dinfo["uuid"], dst_name)
@@ -755,26 +807,26 @@ class AsyncLocoClient(BatchingLocoClient):
             # clears any durable destination (POSIX replace semantics)
             self._tombstone(pend, skey)
             self.deferred_renames += 1
-            yield from self._g_enq_fms(
-                dst_fms, ("unlink_opt", dkey[0], dst_name, self.cred),
-                _OP_WIRE_BASE + len(dst_name), dinfo["path"])
+            if self._enq_fms(dst_fms, ("unlink_opt", dkey[0], dst_name, self.cred),
+                             _OP_WIRE_BASE + len(dst_name), dinfo["path"]):
+                yield from self._g_enq_done(dst_fms)
             for e in live:
                 moved = (e[0], dkey[0], dst_name) + e[3:]
                 wire = (_CREATE_WIRE_BASE if e[0] == "create" else _OP_WIRE_BASE)
-                yield from self._g_enq_fms(dst_fms, moved, wire + len(dst_name),
-                                           dinfo["path"],
-                                           path_hint=new if e[0] == "setattr" else None,
-                                           capture=False)
+                if self._enq_fms(dst_fms, moved, wire + len(dst_name), dinfo["path"],
+                                 path_hint=new if e[0] == "setattr" else None):
+                    yield from self._g_enq_done(dst_fms, capture=False)
             return
         if src_fms == dst_fms:
             # one server holds both keys, so a single deferred entry keeps
             # queue order — any pending entries for either key apply first,
             # exactly the synchronous sequence
             self.deferred_renames += 1
-            yield from self._g_enq_fms(
-                src_fms, ("rename_local", skey[0], src_name, dkey[0], dst_name,
-                          self.cred),
-                _OP_WIRE_BASE + len(src_name) + len(dst_name), dinfo["path"])
+            if self._enq_fms(
+                    src_fms, ("rename_local", skey[0], src_name, dkey[0], dst_name,
+                              self.cred),
+                    _OP_WIRE_BASE + len(src_name) + len(dst_name), dinfo["path"]):
+                yield from self._g_enq_done(src_fms)
             return
         # cross-server: flush the dependents, then take the synchronous
         # two-phase export/import path
@@ -787,6 +839,11 @@ class AsyncLocoClient(BatchingLocoClient):
                        (), self.now_us))
 
     def _g_rename_dir_sync(self, old: str, new: str) -> Generator:
+        if self.strict_collisions:
+            # rename(dir, file) is EEXIST; the queue or the FMS knows the file
+            parent, name = pathutil.split(new)
+            if name and (yield from self._g_file_exists(parent, name)):
+                raise Exists(new)
         yield Rpc(DMS, "rename", (old, new, self.cred))
         self.dcache.invalidate(old)
         self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))
@@ -817,9 +874,12 @@ class AsyncLocoClient(BatchingLocoClient):
     def _g_stat_file(self, path: str) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_stat_file(path))
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         parent, name = pathutil.split_fast(path)
-        info = yield from self._g_dir(parent)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
         fms = self._fms_for(info["uuid"], name)
         attrs = yield from self._g_getattr_cached(fms, info["uuid"], name)
         return StatResult(
@@ -831,9 +891,12 @@ class AsyncLocoClient(BatchingLocoClient):
     def _g_open(self, path: str, want: int = R_OK) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_open(path, want))
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         parent, name = pathutil.split_fast(path)
-        info = yield from self._g_dir(parent)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
         fms = self._fms_for(info["uuid"], name)
         handle = yield Rpc(self._cache_node, "open",
                            (fms, info["uuid"], name, self.cred, want))
@@ -852,13 +915,16 @@ class AsyncLocoClient(BatchingLocoClient):
     def _g_access(self, path: str, want: int = R_OK) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_access(path, want))
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         path = pathutil.normalize(path)
         if path == "/":
             info = yield from self._g_dir(path)
             return may_access(info["mode"], info["uid"], info["gid"], self.cred, want)
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
         fms = self._fms_for(info["uuid"], name)
         answer = yield Rpc(self._cache_node, "access",
                            (fms, info["uuid"], name, self.cred, want))

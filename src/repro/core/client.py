@@ -320,6 +320,15 @@ class LocoClient(FSClientBase):
             return
         is_dir = yield Rpc(DMS, "exists", (old,))
         if is_dir:
+            if self.strict_collisions:
+                # the destination may exist as a *file*, invisible to the
+                # DMS: rename(dir, file) is EEXIST
+                parent, name = pathutil.split(new)
+                if name:
+                    info = yield from self._g_dir(parent)
+                    fms = self._fms_for(info["uuid"], name)
+                    if (yield Rpc(fms, "exists", (info["uuid"], name))):
+                        raise Exists(new)
             yield Rpc(DMS, "rename", (old, new, self.cred))
             self.dcache.invalidate(old)
             self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))
@@ -346,7 +355,12 @@ class LocoClient(FSClientBase):
                 raise Exists(new)
         dst_exists = yield Rpc(dst_fms, "exists", (dinfo["uuid"], dst_name))
         if dst_exists:
-            # POSIX rename replaces the destination
+            # POSIX rename replaces the destination — but only once the
+            # source is known to exist (strict mode probed it above)
+            if not self.strict_collisions:
+                src_exists = yield Rpc(src_fms, "exists", (sinfo["uuid"], src_name))
+                if not src_exists:
+                    raise NoEntry(old)
             removed = yield Rpc(dst_fms, "remove", (dinfo["uuid"], dst_name, self.cred))
             if removed["size"] > 0:
                 yield Parallel(
@@ -585,6 +599,13 @@ class BatchingLocoClient(LocoClient):
             dirty[(e[0], e[1])] = server
         self.flush_requeues += 1
 
+    def _stale_due(self) -> bool:
+        """Would :meth:`_g_flush_stale` flush a queue now?  The plain test
+        every call site makes first, so an op that finds every queue fresh
+        builds no generator frame for the age check."""
+        return (bool(self._pending)
+                and self._clock.now - self._oldest_pending_us >= self.batch_max_age_us)
+
     def _g_flush_stale(self) -> Generator:
         """Flush every queue whose oldest entry exceeds the age bound."""
         if not self._pending:
@@ -616,17 +637,50 @@ class BatchingLocoClient(LocoClient):
         for server in tainted:
             yield from self._g_flush_server(server, "read")
 
+    def _barrier_due(self) -> bool:
+        """Would :meth:`_g_file_barrier` do anything now?  The plain test
+        guarding every barrier: with nothing dirty and no queue stale it
+        yields nothing."""
+        return bool(self._dirty) or self._stale_due()
+
     def _g_file_barrier(self, path: str) -> Generator:
         """Read-your-writes: flush before any op touching a possibly-dirty
         file key.  The parent resolution below is served by the directory
         cache on the overridden op's own lookup, so the barrier costs no
         extra round trip on the warm path."""
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         if not self._dirty:
             return
         parent, name = pathutil.split_fast(path)
-        info = yield from self._g_dir(parent)
-        yield from self._g_flush_key(info["uuid"], name)
+        info = self._dir_cached(parent)
+        if info is None:
+            info = yield from self._g_dir_fetch(parent)
+        server = self._dirty.get((info["uuid"], name))
+        if server is not None:
+            yield from self._g_flush_server(server, "read")
+
+    # -- directory resolution split for the warm path ---------------------------------------
+    def _dir_cached(self, path: str) -> dict | None:
+        """The warm path's inline d-cache probe of a normalized ``path``.
+
+        Returns the cached d-inode, or None: on a miss, and without probing
+        when the cache is off or a tracer or metrics registry wants the
+        hit/miss Marks.  :meth:`_g_dir_fetch` then resolves the path and
+        probes the cache only if this did not, so a miss is counted once.
+        """
+        if self.cache_enabled and not self._obs_detailed:
+            return self.dcache.get(path, self._clock.now)
+        return None
+
+    def _g_dir_fetch(self, path: str) -> Generator:
+        """Resolve a normalized ``path`` that :meth:`_dir_cached` did not
+        serve: the rest of :meth:`_g_dir`."""
+        if self._obs_detailed or not self.cache_enabled:
+            return (yield from self._g_dir(path))  # no probe was made
+        info = yield Rpc(DMS, "lookup", (path, self.cred))
+        self.dcache.put(path, info, self.now_us)
+        return info
 
     # -- deferred create ----------------------------------------------------------------
     def create(self, path: str, mode: int = 0o644) -> None:
@@ -760,7 +814,8 @@ class BatchingLocoClient(LocoClient):
         return None
 
     def _g_create(self, path: str, mode: int = 0o644) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         now = self.now_s
         parent, name = pathutil.split_fast(path)
         if not name:
@@ -806,56 +861,70 @@ class BatchingLocoClient(LocoClient):
 
     # -- read-your-writes barriers on every other op ---------------------------------------
     def _g_stat_file(self, path: str) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_stat_file(path))
 
     def _g_stat(self, path: str) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_stat(path))
 
     def _g_stat_dir(self, path: str) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         return (yield from super()._g_stat_dir(path))
 
     def _g_open(self, path: str, want: int = R_OK) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_open(path, want))
 
     def _g_unlink(self, path: str) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_unlink(path))
 
     def _g_chmod(self, path: str, mode: int) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_chmod(path, mode))
 
     def _g_chown(self, path: str, uid: int, gid: int) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_chown(path, uid, gid))
 
     def _g_access(self, path: str, want: int = R_OK) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_access(path, want))
 
     def _g_truncate(self, path: str, size: int) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_truncate(path, size))
 
     def _g_write(self, path: str, offset: int, data: bytes) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_write(path, offset, data))
 
     def _g_read(self, path: str, offset: int, length: int) -> Generator:
-        yield from self._g_file_barrier(path)
+        if self._barrier_due():
+            yield from self._g_file_barrier(path)
         return (yield from super()._g_read(path, offset, length))
 
     def _g_rename(self, old: str, new: str) -> Generator:
-        yield from self._g_file_barrier(old)
-        yield from self._g_file_barrier(new)
+        if self._barrier_due():
+            yield from self._g_file_barrier(old)
+        if self._barrier_due():
+            yield from self._g_file_barrier(new)
         return (yield from super()._g_rename(old, new))
 
     def _g_mkdir(self, path: str, mode: int = 0o755) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         if self.strict_collisions and self._dirty:
             # the mkdir probe must see a pending file of the same name
             p = pathutil.normalize(path)
@@ -866,14 +935,16 @@ class BatchingLocoClient(LocoClient):
         return (yield from super()._g_mkdir(path, mode))
 
     def _g_readdir(self, path: str) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         if self._pending:
             info = yield from self._g_dir(pathutil.normalize(path))
             yield from self._g_flush_dir(info["uuid"])
         return (yield from super()._g_readdir(path))
 
     def _g_rmdir(self, path: str) -> Generator:
-        yield from self._g_flush_stale()
+        if self._stale_due():
+            yield from self._g_flush_stale()
         if self._pending:
             info = yield from self._g_dir(pathutil.normalize(path))
             yield from self._g_flush_dir(info["uuid"])

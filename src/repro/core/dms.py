@@ -50,7 +50,7 @@ from repro.kv.meter import Meter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
 from repro.metadata.acl import W_OK, X_OK, may_access
-from repro.metadata.layout import DIR_INODE
+from repro.metadata.layout import DIR_INODE, field_writes
 
 _I = b"I:"
 _E = b"E:"
@@ -60,6 +60,9 @@ _DIR_SIZE = DIR_INODE.total_size
 #: mode, uid and gid are three contiguous u32 fields of a d-inode
 _MUG_OFF = DIR_INODE.offset("mode")
 _unpack_mug = struct.Struct("<III").unpack_from
+#: ctime, mode, uid and gid lead a d-inode: one pack rewrites all four
+_pack_cmug = struct.Struct("<dIII").pack
+_CMUG_END = struct.calcsize("<dIII")
 
 
 def _ikey(path: str) -> bytes:
@@ -284,7 +287,11 @@ class DirectoryMetadataServer:
         pmode, puid, pgid, puuid = pmeta
         if not may_access(pmode, puid, pgid, cred, W_OK | X_OK):
             raise PermissionDenied(parent)
-        if self.store.get(_ikey(path)) is not None:
+        store = self.store
+        ikey = _I + path.encode("utf-8")
+        cur = store.peek(ikey)
+        store._charge("get", len(ikey) if cur is None else len(ikey) + len(cur))
+        if cur is not None:
             if uuid is not None and self._meta.get(path, (0, 0, 0, -1))[3] == uuid:
                 # replay of an already-applied deferred mkdir (a retried
                 # flush after a dropped response): same client-reserved
@@ -295,8 +302,8 @@ class DirectoryMetadataServer:
             uuid = self._allocate_uuid()
         dmode = S_IFDIR | (mode & 0o7777)
         buf = DIR_INODE.pack(ctime=now_s, mode=dmode, uid=cred.uid, gid=cred.gid, uuid=uuid)
-        self.store.put(_ikey(path), buf)
-        self.store.put(_ekey(uuid), b"")
+        store.put(ikey, buf)
+        store.put(_ekey(uuid), b"")
         # backward dirent: this directory's entry joins the parent's subdir list
         self.store.append(_ekey(puuid), dirent.pack_entry(name, uuid, FileType.DIRECTORY))
         self._meta[path] = (dmode, cred.uid, cred.gid, uuid)
@@ -412,23 +419,46 @@ class DirectoryMetadataServer:
     def op_setattr(self, path: str, cred: Credentials, now_s: float, mode: int | None = None,
                    uid: int | None = None, gid: int | None = None) -> None:
         """chmod/chown on a directory: in-place field writes, no reserialization."""
-        self._touch("chmod_dir" if mode is not None else "chown_dir", "dir")
+        if self.track_touches:
+            self._touch("chmod_dir" if mode is not None else "chown_dir", "dir")
         path = pathutil.normalize(path)
-        _, (omode, ouid, ogid, uuid) = self._resolve(path, cred)
+        buf, (omode, ouid, ogid, uuid) = self._resolve(path, cred)
         if not cred.is_root and cred.uid != ouid:
             raise PermissionDenied(path)
-        key = _ikey(path)
         if mode is not None:
-            omode = (omode & ~0o7777) | (mode & 0o7777)
-            self.store.write_at(key, DIR_INODE.offset("mode"), DIR_INODE.encode_field("mode", omode))
-        if uid is not None:
-            ouid = uid
-            self.store.write_at(key, DIR_INODE.offset("uid"), DIR_INODE.encode_field("uid", uid))
-        if gid is not None:
-            ogid = gid
-            self.store.write_at(key, DIR_INODE.offset("gid"), DIR_INODE.encode_field("gid", gid))
-        self.store.write_at(key, DIR_INODE.offset("ctime"), DIR_INODE.encode_field("ctime", now_s))
-        self._meta[path] = (omode, ouid, ogid, uuid)
+            mode = (omode & ~0o7777) | (mode & 0o7777)
+        self._meta[path] = self._write_attrs(_I + path.encode("utf-8"), buf, now_s,
+                                             mode, uid, gid) + (uuid,)
+
+    def _write_attrs(self, ikey: bytes, buf: bytes, now_s: float, mode: int | None,
+                     uid: int | None, gid: int | None) -> tuple[int, int, int]:
+        """Rewrite d-inode ``buf`` (the record under ``ikey``, its get
+        already charged) with each given field and the new ctime.
+
+        Stands for one ``write_at`` per given field (mode, uid, gid) and
+        one for ctime: their gets and puts are charged in order (the last
+        put by the ``store.put`` that writes the record, built in one
+        pack) and the WAL gets each intermediate record.  Returns the new
+        (mode, uid, gid).  A malformed record raises the layout's error.
+        """
+        if len(buf) != _DIR_SIZE:
+            DIR_INODE.unpack(buf)  # raises the layout's size error
+        omode, ouid, ogid = _unpack_mug(buf, _MUG_OFF)
+        mug = (omode if mode is None else mode, ouid if uid is None else uid,
+               ogid if gid is None else gid)
+        new = _pack_cmug(now_s, *mug) + buf[_CMUG_END:]
+        store = self.store
+        n = len(ikey) + len(buf)
+        writes = 1 + (mode is not None) + (uid is not None) + (gid is not None)
+        store._meter.charge_many((("get", n), ("put", n)) * (writes - 1) + (("get", n),))
+        if store._wal is not None:
+            given = [(off, new[off:off + 4]) for off, v in
+                     ((_MUG_OFF, mode), (_MUG_OFF + 4, uid), (_MUG_OFF + 8, gid))
+                     if v is not None]
+            for step in field_writes(buf, given):
+                store._wal.append_put(ikey, step)
+        store.put(ikey, new)
+        return mug
 
     def op_rename(self, old: str, new: str, cred: Credentials) -> int:
         """d-rename: contiguous prefix move of descendant d-inodes (§3.4).

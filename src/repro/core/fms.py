@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import struct
 
 from repro.common.errors import Exists, FSError, InvalidArgument, NoEntry, PermissionDenied
 from repro.common.stats import Counters
@@ -34,7 +35,7 @@ from repro.kv.meter import Meter
 from repro.kv.wal import OP_PUT, WriteAheadLog
 from repro.metadata import dirent
 from repro.metadata.acl import may_access
-from repro.metadata.layout import FILE_ACCESS, FILE_CONTENT, FILE_COUPLED
+from repro.metadata.layout import FILE_ACCESS, FILE_CONTENT, FILE_COUPLED, field_writes
 from repro.sim.costmodel import CostModel
 
 _A = b"A:"
@@ -61,6 +62,12 @@ _unpack_content = FILE_CONTENT.record_codec().unpack
 _unpack_coupled = FILE_COUPLED.record_codec().unpack
 _ATIME = FILE_CONTENT.offset("atime")
 _ATIME_END = _ATIME + FILE_CONTENT.size("atime")
+_MODE_OFF = FILE_ACCESS.offset("mode")
+_UID_OFF = FILE_ACCESS.offset("uid")
+_GID_OFF = FILE_ACCESS.offset("gid")
+_SIZE_OFF = FILE_CONTENT.offset("size")
+_pack_f64 = struct.Struct("<d").pack
+_pack_u64 = struct.Struct("<Q").pack
 
 #: verdicts for a create-batch probe hit (see ``_probe_verdict``)
 _APPLIED = 0   # replay of an already-durable create: return its uuid
@@ -74,6 +81,12 @@ def _bad_name(raw: bytes) -> str:
 
 def fkey(dir_uuid: int, name: str) -> bytes:
     return dir_uuid.to_bytes(8, "big") + name.encode("utf-8")
+
+
+def _removed(content: bytes) -> dict:
+    """What a remove reports of the file it removed."""
+    _, _, size, _, suuid, _ = _unpack_content(content)
+    return {"uuid": suuid, "size": size}
 
 
 class FileMetadataServer:
@@ -232,17 +245,13 @@ class FileMetadataServer:
         )
         return a, c
 
-    def _store_both(self, key: bytes, a: bytes, c: bytes) -> None:
-        if self.decoupled:
-            self.store.put_pair(_A + key, a, _C + key, c)
-        else:
-            af = FILE_ACCESS.unpack(a)
-            cf = FILE_CONTENT.unpack(c)
-            self._put_coupled(key, FILE_COUPLED.pack(index_blob=b"", **af, **cf))
-
-    def _check_owner(self, a: bytes, cred: Credentials, path_hint: str = "") -> None:
-        if not cred.is_root and cred.uid != FILE_ACCESS.read(a, "uid"):
-            raise PermissionDenied(path_hint)
+    @staticmethod
+    def _check_owner(a: bytes, cred: Credentials, path_hint: str = "") -> None:
+        if not cred.is_root:
+            if len(a) != _ACCESS_SIZE:
+                FILE_ACCESS.unpack(a)  # raises the layout's size error
+            if cred.uid != _unpack_access(a)[2]:
+                raise PermissionDenied(path_hint)
 
     # -- operations (Table 1 rows) ---------------------------------------------------
     def _reserve(self, last_fid: int) -> tuple[int, bytes | None]:
@@ -586,33 +595,56 @@ class FileMetadataServer:
         _, mode, uid, gid = _unpack_access(a)
         return may_access(mode, uid, gid, cred, want)
 
+    # The write handlers below are kernels too: each charges the gets,
+    # puts and deletes of the store calls it stands for (an in-place field
+    # write is a ``write_at``: a get and a put of the whole record) in
+    # their order and before it returns or raises, writes the WAL records
+    # those calls would log, and builds a rewritten record in one pack.
     def op_setattr(self, dir_uuid: int, name: str, cred: Credentials, now_s: float,
                    mode: int | None = None, uid: int | None = None,
                    gid: int | None = None) -> None:
-        """chmod/chown: touches only the access part (Table 1)."""
-        self._touch("chmod" if mode is not None else "chown", "access")
+        """chmod/chown: touches only the access part (Table 1).
+
+        Decoupled, the access part is rewritten in place, one ``write_at``
+        per given field (mode, uid, gid) and one for ctime, no
+        (de)serialization (§3.3.3).
+        """
+        if self.track_touches:
+            self._touch("chmod" if mode is not None else "chown", "access")
         self.counters.inc("setattr.inplace" if self.decoupled else "setattr.rewrite")
         key = fkey(dir_uuid, name)
         if self.decoupled:
+            store = self.store
             akey = _A + key
-            a = self.store.get(akey)
+            a = store._data.get(akey)
             if a is None:
+                store._charge("get", len(akey))
                 raise NoEntry(name)
-            self._check_owner(a, cred, name)
-            # in-place fixed-offset field writes — no (de)serialization
-            if mode is not None:
-                old = FILE_ACCESS.read(a, "mode")
-                new_mode = (old & ~0o7777) | (mode & 0o7777)
-                self.store.write_at(akey, FILE_ACCESS.offset("mode"),
-                                    FILE_ACCESS.encode_field("mode", new_mode))
-            if uid is not None:
-                self.store.write_at(akey, FILE_ACCESS.offset("uid"),
-                                    FILE_ACCESS.encode_field("uid", uid))
-            if gid is not None:
-                self.store.write_at(akey, FILE_ACCESS.offset("gid"),
-                                    FILE_ACCESS.encode_field("gid", gid))
-            self.store.write_at(akey, FILE_ACCESS.offset("ctime"),
-                                FILE_ACCESS.encode_field("ctime", now_s))
+            n = len(akey) + len(a)
+            if len(a) != _ACCESS_SIZE:
+                store._charge("get", n)
+                FILE_ACCESS.unpack(a)  # raises the layout's size error
+            _, omode, ouid, ogid = _unpack_access(a)
+            if not cred.is_root and cred.uid != ouid:
+                store._charge("get", n)
+                raise PermissionDenied(name)
+            new = _pack_access(
+                now_s,
+                omode if mode is None else (omode & ~0o7777) | (mode & 0o7777),
+                ouid if uid is None else uid,
+                ogid if gid is None else gid)
+            writes = 1 + (mode is not None) + (uid is not None) + (gid is not None)
+            store._meter.charge_many((("get", n),) + (("get", n), ("put", n)) * writes)
+            if store._wal is not None:
+                # the records the per-field writes log: one per given field
+                # (mode, uid, gid), then the ctime write's, which is ``new``
+                given = [(off, new[off:off + 4]) for off, v in
+                         ((_MODE_OFF, mode), (_UID_OFF, uid), (_GID_OFF, gid))
+                         if v is not None]
+                for step in field_writes(a, given):
+                    store._wal.append_put(akey, step)
+                store._wal.append_put(akey, new)
+            store._data[akey] = new
         else:
             buf = self._get_coupled(key)
             if buf is None:
@@ -631,17 +663,11 @@ class FileMetadataServer:
 
     def op_truncate(self, dir_uuid: int, name: str, size: int, now_s: float) -> None:
         """truncate: touches only the content part (Table 1)."""
-        self._touch("truncate", "content")
+        if self.track_touches:
+            self._touch("truncate", "content")
         key = fkey(dir_uuid, name)
         if self.decoupled:
-            ckey = _C + key
-            c = self.store.get(ckey)
-            if c is None:
-                raise NoEntry(name)
-            self.store.write_at(ckey, FILE_CONTENT.offset("size"),
-                                FILE_CONTENT.encode_field("size", size))
-            self.store.write_at(ckey, FILE_CONTENT.offset("mtime"),
-                                FILE_CONTENT.encode_field("mtime", now_s))
+            self._write_size_mtime(key, name, size, now_s, grow_only=False)
         else:
             buf = self._get_coupled(key)
             if buf is None:
@@ -657,22 +683,13 @@ class FileMetadataServer:
         (§3.3.2 — blocks are addressed by uuid + blk_num, there is no
         per-block index to update).
         """
-        self._touch("write", "content")
+        if self.track_touches:
+            self._touch("write", "content")
         key = fkey(dir_uuid, name)
         if self.decoupled:
-            ckey = _C + key
-            c = self.store.get(ckey)
-            if c is None:
-                raise NoEntry(name)
-            size = FILE_CONTENT.read(c, "size")
-            if end_offset > size:
-                self.store.write_at(ckey, FILE_CONTENT.offset("size"),
-                                    FILE_CONTENT.encode_field("size", end_offset))
-                size = end_offset
-            self.store.write_at(ckey, FILE_CONTENT.offset("mtime"),
-                                FILE_CONTENT.encode_field("mtime", now_s))
-            return {"uuid": FILE_CONTENT.read(c, "suuid"),
-                    "bsize": FILE_CONTENT.read(c, "bsize"), "size": size}
+            c, size = self._write_size_mtime(key, name, end_offset, now_s, grow_only=True)
+            _, _, _, bsize, suuid, _ = _unpack_content(c)
+            return {"uuid": suuid, "bsize": bsize, "size": size}
         buf = self._get_coupled(key)
         if buf is None:
             raise NoEntry(name)
@@ -682,6 +699,38 @@ class FileMetadataServer:
         self._put_coupled(key, buf)
         return {"uuid": FILE_COUPLED.read(buf, "suuid"),
                 "bsize": FILE_COUPLED.read(buf, "bsize"), "size": size}
+
+    def _write_size_mtime(self, key: bytes, name: str, size: int, now_s: float,
+                          grow_only: bool) -> tuple[bytes, int]:
+        """The decoupled truncate / write_meta kernel: the content part's
+        ``get``, an in-place size write (with ``grow_only``, only when it
+        extends the file), then the mtime write.  Returns the content part
+        as read and the file's size afterwards."""
+        store = self.store
+        ckey = _C + key
+        c = store._data.get(ckey)
+        if c is None:
+            store._charge("get", len(ckey))
+            raise NoEntry(name)
+        n = len(ckey) + len(c)
+        old = _unpack_content(c)[2] if grow_only else -1
+        if size <= old:
+            size = old
+            sized = None
+            new = _pack_f64(now_s) + c[8:]
+            store._meter.charge_many((("get", n), ("get", n), ("put", n)))
+        else:
+            sized = c[:_SIZE_OFF] + _pack_u64(size) + c[_SIZE_OFF + 8:]
+            new = _pack_f64(now_s) + sized[8:]
+            store._meter.charge_many((("get", n), ("get", n), ("put", n),
+                                      ("get", n), ("put", n)))
+        wal = store._wal
+        if wal is not None:
+            if sized is not None:
+                wal.append_put(ckey, sized)
+            wal.append_put(ckey, new)
+        store._data[ckey] = new
+        return c, size
 
     def op_read_meta(self, dir_uuid: int, name: str, now_s: float) -> dict:
         """Metadata side of a read: atime bump + size/uuid (content part).
@@ -717,22 +766,14 @@ class FileMetadataServer:
 
     def op_remove(self, dir_uuid: int, name: str, cred: Credentials) -> dict:
         """unlink: touches access + content + dirent (Table 1 'remove')."""
-        self._touch("remove", "access", "content", "dirent")
-        key = fkey(dir_uuid, name)
-        a, c = self._load(key, name)
-        self._check_owner(a, cred, name)
-        if self.decoupled:
-            self.store.delete(_A + key)
-            self.store.delete(_C + key)
-        else:
-            self.store.delete(_F + key)
-        ekey = _E + dir_uuid.to_bytes(8, "big")
-        buf = self.store.get(ekey) or b""
-        newbuf, _ = dirent.remove_entry(buf, name)
-        self.store.put(ekey, newbuf)
-        self._nfiles -= 1
-        return {"uuid": FILE_CONTENT.read(c, "suuid"),
-                "size": FILE_CONTENT.read(c, "size")}
+        if self.track_touches:
+            self._touch("remove", "access", "content", "dirent")
+        charges: list[tuple[str, int]] = []
+        try:
+            _, c = self._detach(dir_uuid, name, cred, charges)
+        finally:
+            self.store._meter.charge_many(charges)
+        return _removed(c)
 
     def op_exists(self, dir_uuid: int, name: str) -> bool:
         """Cheap existence probe (used by the client's rename path)."""
@@ -761,56 +802,172 @@ class FileMetadataServer:
 
         The file's uuid is preserved, so its data blocks never move.
         """
-        self._touch("rename", "access", "content", "dirent")
-        key = fkey(dir_uuid, name)
-        a, c = self._load(key, name)
-        self._check_owner(a, cred, name)
-        if self.decoupled:
-            self.store.delete(_A + key)
-            self.store.delete(_C + key)
-        else:
-            self.store.delete(_F + key)
-        ekey = _E + dir_uuid.to_bytes(8, "big")
-        buf = self.store.get(ekey) or b""
-        newbuf, _ = dirent.remove_entry(buf, name)
-        self.store.put(ekey, newbuf)
-        self._nfiles -= 1
+        if self.track_touches:
+            self._touch("rename", "access", "content", "dirent")
+        charges: list[tuple[str, int]] = []
+        try:
+            a, c = self._detach(dir_uuid, name, cred, charges)
+        finally:
+            self.store._meter.charge_many(charges)
         return {"access": a, "content": c}
 
     def op_import(self, dir_uuid: int, name: str, access: bytes, content: bytes) -> None:
         """Second half of a cross-FMS f-rename."""
-        self._touch("rename", "access", "content", "dirent")
-        key = fkey(dir_uuid, name)
-        if self.decoupled:
-            if self.store.get(_A + key) is not None:
-                raise Exists(name)
-        else:
-            if self.store.get(_F + key) is not None:
-                raise Exists(name)
-        self._store_both(key, access, content)
-        uuid = FILE_CONTENT.read(content, "suuid")
-        self.store.append(_E + dir_uuid.to_bytes(8, "big"),
-                          dirent.pack_entry(name, uuid, FileType.FILE))
-        self._nfiles += 1
+        if self.track_touches:
+            self._touch("rename", "access", "content", "dirent")
+        charges: list[tuple[str, int]] = []
+        try:
+            self._attach(dir_uuid, name, access, content, charges)
+        finally:
+            self.store._meter.charge_many(charges)
 
     def op_rename_local(self, sdir_uuid: int, sname: str, ddir_uuid: int,
                         dname: str, cred: Credentials) -> dict:
         """Same-server f-rename in one request (the LocoFS-A flush path).
 
-        Applies the exact sequence the synchronous client drives over the
-        wire — remove the destination if present, detach the source,
-        attach it under the new key — so a deferred rename leaves the
-        identical state.  Returns the replaced destination's
-        ``{"uuid", "size"}`` (or ``None``) so the flushing client can
-        delete its data blocks, just as the sync path does.
+        Applies the sequence the synchronous client drives over the wire —
+        remove the destination if present, detach the source, attach it
+        under the new key — so a deferred rename leaves the identical
+        state, charged as those three requests' store calls in one
+        ``charge_many``.  A missing source fails the rename before the
+        destination is touched: the source is checked with an unmetered
+        probe, so a rename to a fresh name pays nothing for it, and the
+        failure is charged the destination's probe and the source's.
+        Returns the replaced destination's ``{"uuid", "size"}`` (or
+        ``None``) so the flushing client can delete its data blocks, just
+        as the sync path does.
         """
+        track = self.track_touches
+        if track:
+            self._touch("remove", "access", "content", "dirent")
+        store = self.store
+        charges: list[tuple[str, int]] = []
         try:
-            replaced = self.op_remove(ddir_uuid, dname, cred)
-        except NoEntry:
-            replaced = None
-        inode = self.op_export_remove(sdir_uuid, sname, cred)
-        self.op_import(ddir_uuid, dname, inode["access"], inode["content"])
+            prefix = _A if self.decoupled else _F
+            skey = prefix + fkey(sdir_uuid, sname)
+            if skey not in store._data:
+                if track:
+                    self._touch("rename", "access", "content", "dirent")
+                dkey = prefix + fkey(ddir_uuid, dname)
+                dval = store._data.get(dkey)
+                charges.append(("get", len(dkey) if dval is None else len(dkey) + len(dval)))
+                charges.append(("get", len(skey)))
+                raise NoEntry(sname)
+            try:
+                replaced = _removed(self._detach(ddir_uuid, dname, cred, charges)[1])
+            except NoEntry:
+                replaced = None
+            if track:
+                self._touch("rename", "access", "content", "dirent")
+            a, c = self._detach(sdir_uuid, sname, cred, charges)
+            self._attach(ddir_uuid, dname, a, c, charges)
+        finally:
+            store._meter.charge_many(charges)
         return {"replaced": replaced}
+
+    # The detach and attach kernels append the charges of the store calls
+    # they stand for to ``charges`` and write the WAL and the dict as they
+    # go; the handler charges the list once, in a ``finally``, so whatever
+    # ran before a raise is charged, in order.  Coupled mode charges its
+    # whole-value (de)serialization at once, so it sends the queued
+    # charges first.
+    def _detach(self, dir_uuid: int, name: str, cred: Credentials,
+                charges: list) -> tuple[bytes, bytes]:
+        """Unlink file ``name`` and return its (access, content) parts.
+
+        Charges: a get of each inode part (coupled: the record and its
+        deserialization), the owner check, a delete of each part, then the
+        dirent list's get and put.
+        """
+        store = self.store
+        data = store._data
+        wal = store._wal
+        dkey = dir_uuid.to_bytes(8, "big")
+        key = dkey + name.encode()
+        if self.decoupled:
+            akey = _A + key
+            a = data.get(akey)
+            if a is None:
+                charges.append(("get", len(akey)))
+                raise NoEntry(name)
+            ckey = _C + key
+            c = data.get(ckey)
+            assert c is not None, "access part exists without content part"
+            klen = len(akey)
+            charges += (("get", klen + len(a)), ("get", klen + len(c)))
+            self._check_owner(a, cred, name)
+            charges += (("delete", klen), ("delete", klen))
+            if wal is not None:
+                wal.append_delete(akey)
+                wal.append_delete(ckey)
+            del data[akey], data[ckey]
+        else:
+            store._meter.charge_many(charges)
+            charges.clear()
+            buf = self._get_coupled(key)
+            if buf is None:
+                raise NoEntry(name)
+            a, c = self._split_coupled(buf)
+            self._check_owner(a, cred, name)
+            fk = _F + key
+            charges.append(("delete", len(fk)))
+            if wal is not None:
+                wal.append_delete(fk)
+            del data[fk]
+        ekey = _E + dkey
+        cur = data.get(ekey)
+        charges.append(("get", len(ekey) if cur is None else len(ekey) + len(cur)))
+        new, _ = dirent.remove_entry(cur or b"", name)
+        charges.append(("put", len(ekey) + len(new)))
+        if wal is not None:
+            wal.append_put(ekey, new)
+        data[ekey] = new
+        self._nfiles -= 1
+        return a, c
+
+    def _attach(self, dir_uuid: int, name: str, a: bytes, c: bytes,
+                charges: list) -> None:
+        """Link inode parts ``a``/``c`` as file ``name``.
+
+        Charges: a probe get of the name (``Exists`` if taken), a put of
+        each part (coupled: the serialization and the record's put), then
+        the dirent append's get and put.
+        """
+        store = self.store
+        data = store._data
+        wal = store._wal
+        dkey = dir_uuid.to_bytes(8, "big")
+        key = dkey + name.encode()
+        if self.decoupled:
+            akey = _A + key
+            probe = data.get(akey)
+            charges.append(("get", len(akey) if probe is None else len(akey) + len(probe)))
+            if probe is not None:
+                raise Exists(name)
+            ckey = _C + key
+            charges += (("put", len(akey) + len(a)), ("put", len(ckey) + len(c)))
+            if wal is not None:
+                wal.append_put(akey, a)
+                wal.append_put(ckey, c)
+            data[akey] = a
+            data[ckey] = c
+        else:
+            store._meter.charge_many(charges)
+            charges.clear()
+            if store.get(_F + key) is not None:
+                raise Exists(name)
+            self._put_coupled(key, FILE_COUPLED.pack(
+                index_blob=b"", **FILE_ACCESS.unpack(a), **FILE_CONTENT.unpack(c)))
+        ent = dirent.pack_entry(name, FILE_CONTENT.read(c, "suuid"), FileType.FILE)
+        ekey = _E + dkey
+        cur = data.get(ekey)
+        new = ent if cur is None else cur + ent
+        charges += (("get", len(ekey) if cur is None else len(ekey) + len(cur)),
+                    ("put", len(ekey) + len(new)))
+        if wal is not None:
+            wal.append_put(ekey, new)
+        data[ekey] = new
+        self._nfiles += 1
 
     # -- mixed batched apply (LocoFS-A write-behind flush) -------------------------------
     def op_apply_batch(self, entries: tuple) -> list:

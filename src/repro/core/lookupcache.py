@@ -41,6 +41,9 @@ authoritative FMS/DMS.
 
 from __future__ import annotations
 
+import struct
+from itertools import islice
+
 from repro.common.errors import PermissionDenied
 from repro.common.stats import Counters
 from repro.kv import HashStore
@@ -52,6 +55,16 @@ _F = b"F:"  # file-attribute entries
 _D = b"D:"  # directory-lookup entries
 
 _ACCESS_SIZE = FILE_ACCESS.total_size
+#: a file entry is the access part followed by the content part
+_ENTRY_SIZE = _ACCESS_SIZE + FILE_CONTENT.total_size
+_unpack_entry = struct.Struct("<dIIIddQIQI").unpack
+_unpack_access_from = FILE_ACCESS.record_codec().unpack_from
+
+
+def _bad_entry(value: bytes) -> None:
+    """Raise the layout error a wrong-length file entry's parts raise."""
+    FILE_ACCESS.unpack(value[:_ACCESS_SIZE])
+    FILE_CONTENT.unpack(value[_ACCESS_SIZE:])
 
 
 def file_cache_key(fms: str, dir_uuid: int, name: str) -> bytes:
@@ -71,7 +84,8 @@ class LookupCacheServer:
         self.meter = self.store.meter
         self.counters = Counters()
         #: key -> virtual time of the most recent invalidation, used by the
-        #: anti-stale fill rejection rule; FIFO-bounded at 4x capacity
+        #: anti-stale fill rejection rule; bounded at 4x capacity, ordered
+        #: by last invalidation (a re-invalidated key moves to the tail)
         self._invalidated_at: dict[bytes, float] = {}
         #: coarse stale floor for *all* directory entries — a directory
         #: rename invalidates an unbounded set of descendant paths, so the
@@ -98,37 +112,45 @@ class LookupCacheServer:
         return 0  # nothing to replay
 
     # -- internals ----------------------------------------------------------------
-    def _evict_for(self, key: bytes) -> None:
-        """FIFO eviction: cheapest policy that is still deterministic
-        (dict order is insertion order; re-fills re-insert at the tail)."""
-        store = self.store
-        if key not in store._data and len(store._data) >= self.capacity:
-            victim = next(iter(store._data))
-            store.delete(victim)
-            self.counters.inc("evictions")
-
+    # The handlers are kernels over the store's dict: each charges what the
+    # store calls it stands for (a ``get`` per probe, a ``delete`` per
+    # eviction or invalidation, a ``put`` per fill) would, in their order.
     def _admit(self, key: bytes, value: bytes, issued_at: float) -> bool:
         stale_floor = self._invalidated_at.get(key)
         if key.startswith(_D):
             epoch = self._dir_epoch
             if stale_floor is None or epoch > stale_floor:
                 stale_floor = epoch if epoch else None
+        store = self.store
         if stale_floor is not None and issued_at <= stale_floor:
             # the backing read was issued before (or racing with) the last
             # invalidation of this key: it may carry a pre-write value
             self.counters.inc("fills_rejected")
-            self.store.meter.charge("get", len(key))  # the probe still costs
+            store._charge("get", len(key))  # the probe still costs
             return False
-        self._evict_for(key)
-        self.store.put(key, value)
+        data = store._data
+        if key not in data and len(data) >= self.capacity:
+            # FIFO eviction: cheapest policy that is still deterministic
+            # (dict order is insertion order; a re-fill keeps its slot)
+            victim = next(iter(data))
+            del data[victim]
+            store._meter.charge_many((("delete", len(victim)),
+                                      ("put", len(key) + len(value))))
+            self.counters.inc("evictions")
+        else:
+            store._charge("put", len(key) + len(value))
+        data[key] = value
         self.counters.inc("fills")
         return True
 
     def _lookup(self, key: bytes) -> bytes | None:
-        value = self.store.get(key)
+        store = self.store
+        value = store._data.get(key)
         if value is None:
+            store._charge("get", len(key))
             self.counters.inc("misses")
         else:
+            store._charge("get", len(key) + len(value))
             self.counters.inc("hits")
         return value
 
@@ -138,30 +160,34 @@ class LookupCacheServer:
         value = self._lookup(file_cache_key(fms, dir_uuid, name))
         if value is None:
             return None
-        out = FILE_ACCESS.unpack(value[:_ACCESS_SIZE])
-        out.update(FILE_CONTENT.unpack(value[_ACCESS_SIZE:]))
-        return out
+        if len(value) != _ENTRY_SIZE:
+            _bad_entry(value)
+        ctime, mode, uid, gid, mtime, atime, size, bsize, suuid, sid = _unpack_entry(value)
+        return {"ctime": ctime, "mode": mode, "uid": uid, "gid": gid,
+                "mtime": mtime, "atime": atime, "size": size, "bsize": bsize,
+                "suuid": suuid, "sid": sid}
 
     def op_open(self, fms: str, dir_uuid: int, name: str, cred, want: int) -> dict | None:
         """Cached open: same permission check the FMS performs."""
         value = self._lookup(file_cache_key(fms, dir_uuid, name))
         if value is None:
             return None
-        a, c = value[:_ACCESS_SIZE], value[_ACCESS_SIZE:]
-        mode = FILE_ACCESS.read(a, "mode")
-        if not may_access(mode, FILE_ACCESS.read(a, "uid"),
-                          FILE_ACCESS.read(a, "gid"), cred, want):
+        if len(value) != _ENTRY_SIZE:
+            _bad_entry(value)
+        _, mode, uid, gid, _, _, size, _, suuid, _ = _unpack_entry(value)
+        if not may_access(mode, uid, gid, cred, want):
             raise PermissionDenied(name)
-        return {"uuid": FILE_CONTENT.read(c, "suuid"), "mode": mode,
-                "size": FILE_CONTENT.read(c, "size")}
+        return {"uuid": suuid, "mode": mode, "size": size}
 
     def op_access(self, fms: str, dir_uuid: int, name: str, cred, want: int) -> bool | None:
+        """Cached access(2): reads only the access part of the entry."""
         value = self._lookup(file_cache_key(fms, dir_uuid, name))
         if value is None:
             return None
-        a = value[:_ACCESS_SIZE]
-        return may_access(FILE_ACCESS.read(a, "mode"), FILE_ACCESS.read(a, "uid"),
-                          FILE_ACCESS.read(a, "gid"), cred, want)
+        if len(value) < _ACCESS_SIZE:
+            _bad_entry(value)
+        _, mode, uid, gid = _unpack_access_from(value)
+        return may_access(mode, uid, gid, cred, want)
 
     def op_fill_file(self, fms: str, dir_uuid: int, name: str,
                      access: bytes, content: bytes, issued_at: float) -> bool:
@@ -200,22 +226,23 @@ class LookupCacheServer:
 
         ``file_keys`` is an iterable of ``(fms, dir_uuid, name)``; ``now``
         is the invalidating client's issue time, recorded as the stale
-        floor for the anti-stale fill rejection rule.
+        floor for the anti-stale fill rejection rule.  A re-invalidated key
+        moves to the tail of the floors, so the bound below trims the keys
+        invalidated longest ago and never a fresh floor.
         """
         dropped = 0
         inval = self._invalidated_at
-        store = self.store
-        for fms, dir_uuid, name in file_keys:
-            key = file_cache_key(fms, dir_uuid, name)
-            inval[key] = max(now, inval.get(key, 0.0))
-            dropped += store.delete(key)
-        for path in paths:
-            key = dir_cache_key(path)
-            inval[key] = max(now, inval.get(key, 0.0))
-            dropped += store.delete(key)
+        data = self.store._data
+        charges = []
+        for key in [file_cache_key(fms, dir_uuid, name)
+                    for fms, dir_uuid, name in file_keys] + [dir_cache_key(p) for p in paths]:
+            inval[key] = max(now, inval.pop(key, 0.0))
+            charges.append(("delete", len(key)))
+            dropped += data.pop(key, None) is not None
+        self.store._meter.charge_many(charges)
         n = len(inval) - 4 * self.capacity
         if n > 0:
-            for key in list(inval)[:n]:
+            for key in list(islice(inval, n)):
                 del inval[key]
         self.counters.inc("invalidations", len(file_keys) + len(paths))
         return dropped

@@ -39,7 +39,7 @@ from repro.sim.engine import DirectEngine, EventEngine
 from repro.sim.rpc import Parallel, Rpc
 
 from .client import LocoClient
-from .dms import DirectoryMetadataServer, _ekey, _ikey
+from .dms import _MUG_OFF, DirectoryMetadataServer, _ekey, _ikey, _unpack_mug
 from .fms import FileMetadataServer
 from .objectstore import BlockPlacement, ObjectStoreServer
 
@@ -125,31 +125,17 @@ class DirectoryShardServer(DirectoryMetadataServer):
                          mode: int | None = None, uid: int | None = None,
                          gid: int | None = None) -> None:
         path = pathutil.normalize(path)
-        buf = self.store.get(_ikey(path))
+        ikey = _ikey(path)
+        buf = self.store.get(ikey)
         if buf is None:
             raise NoEntry(path)
-        omode = DIR_INODE.read(buf, "mode")
-        ouid = DIR_INODE.read(buf, "uid")
-        ogid = DIR_INODE.read(buf, "gid")
-        uuid = DIR_INODE.read(buf, "uuid")
+        uuid = DIR_INODE.read(buf, "uuid")  # raises the layout's error if malformed
+        omode, ouid, _ = _unpack_mug(buf, _MUG_OFF)
         if not cred.is_root and cred.uid != ouid:
             raise PermissionDenied(path)
-        key = _ikey(path)
         if mode is not None:
-            omode = (omode & ~0o7777) | (mode & 0o7777)
-            self.store.write_at(key, DIR_INODE.offset("mode"),
-                                DIR_INODE.encode_field("mode", omode))
-        if uid is not None:
-            ouid = uid
-            self.store.write_at(key, DIR_INODE.offset("uid"),
-                                DIR_INODE.encode_field("uid", uid))
-        if gid is not None:
-            ogid = gid
-            self.store.write_at(key, DIR_INODE.offset("gid"),
-                                DIR_INODE.encode_field("gid", gid))
-        self.store.write_at(key, DIR_INODE.offset("ctime"),
-                            DIR_INODE.encode_field("ctime", now_s))
-        self._meta[path] = (omode, ouid, ogid, uuid)
+            mode = (omode & ~0o7777) | (mode & 0o7777)
+        self._meta[path] = self._write_attrs(ikey, buf, now_s, mode, uid, gid) + (uuid,)
 
     # -- rename support ----------------------------------------------------------------
     def op_shard_export(self, root: str) -> list[tuple[str, bytes, bytes]]:

@@ -83,15 +83,38 @@ def find_entry(buf: bytes, name: str) -> DirEntry | None:
 
 
 def remove_entry(buf: bytes, name: str) -> tuple[bytes, bool]:
-    """Return (new_buf, removed)."""
-    out = bytearray()
-    removed = False
-    for e in decode(buf):
-        if not removed and e.name == name:
-            removed = True
-            continue
-        out += pack_entry(e.name, e.uuid, e.ftype)
-    return bytes(out), removed
+    """Return (new_buf, removed): ``buf`` without the first entry named
+    ``name``.
+
+    One scan that splices the match out as ``buf[:off] + buf[nxt:]``; the
+    other entries keep their bytes.  Every entry, the ones after the match
+    included, is checked as :func:`decode` checks it, so a corrupt list
+    raises :class:`~repro.common.errors.CorruptDirents` at the same offset.
+    """
+    raw = name.encode("utf-8")
+    n = len(buf)
+    off = 0
+    cut = -1
+    cut_end = 0
+    while off < n:
+        start = off + _HEAD_SIZE
+        if start > n:
+            raise _corrupt(off, n)
+        end = start + (buf[off] | buf[off + 1] << 8)  # the u16 name length
+        nxt = end + _TAIL_SIZE
+        if nxt > n or buf[end + 8] not in _FTYPES:
+            raise _corrupt(off, n)
+        entry_name = buf[start:end]
+        try:
+            entry_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _corrupt(off, n) from None
+        if cut < 0 and entry_name == raw:
+            cut, cut_end = off, nxt
+        off = nxt
+    if cut < 0:
+        return buf, False
+    return buf[:cut] + buf[cut_end:], True
 
 
 def count_entries(buf: bytes) -> int:

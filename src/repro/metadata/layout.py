@@ -140,6 +140,17 @@ class FixedLayout:
             )
 
 
+def field_writes(buf: bytes, writes) -> list[bytes]:
+    """The values ``buf`` passes through under in-place ``(offset, raw)``
+    writes applied in order: the records a write-ahead log holds after one
+    ``KVStore.write_at`` per write."""
+    out = []
+    for off, raw in writes:
+        buf = buf[:off] + raw + buf[off + len(raw):]
+        out.append(buf)
+    return out
+
+
 # struct codes: d = f64, I = u32, Q = u64
 DIR_INODE = FixedLayout(
     "dir_inode",

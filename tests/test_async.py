@@ -141,6 +141,22 @@ class TestDependencyGraph:
         assert fs.total_files() == 1
         assert c.stat_file("/d/dst").st_size == 0  # the renamed file won
 
+    @pytest.mark.parametrize("system", ["sync", "locofs-a", "locofs-a-1fms"])
+    def test_rename_of_a_missing_source_keeps_the_destination(self, system):
+        if system == "sync":
+            c = LocoFS(ClusterConfig(num_metadata_servers=3)).client()
+        else:
+            c = async_fs(num_servers=3 if system == "locofs-a" else 1).client()
+        flush = getattr(c, "flush", lambda: None)
+        c.create("/a")
+        c.write("/a", 0, b"kept")
+        with pytest.raises(NoEntry):
+            c.rename("/missing", "/a")  # the deferred rename fails at its flush
+            flush()
+        flush()
+        assert [e.name for e in c.readdir("/")] == ["a"]
+        assert c.read("/a", 0, 4) == b"kept"
+
     def test_duplicate_create_raises_client_side_while_queued(self):
         fs = async_fs()
         c = fs.client()

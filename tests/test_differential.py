@@ -291,6 +291,8 @@ def snapshot_attrs(client) -> tuple:
 # synchronously
 @example(ops=[("mkdir", "/a"), ("create", "/a"), ("chmod", "/a", 0o600)])
 @example(ops=[("mkdir", "/a"), ("create", "/a"), ("stat", "/a"), ("chown", "/a", 1, 2)])
+# a rename whose source is missing leaves the destination alone
+@example(ops=[("create", "/a"), ("rename", "/b", "/a")])
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_writebehind_differential(deferred_name, ops):
@@ -337,6 +339,8 @@ def test_writebehind_differential(deferred_name, ops):
 
 @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
 @given(ops=operations)
+# a directory renamed onto a file of the destination's name is EEXIST
+@example(ops=[("mkdir", "/b"), ("create", "/a"), ("rename", "/b", "/a")])
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_differential_vs_oracle(system_name, ops):

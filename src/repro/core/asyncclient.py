@@ -945,10 +945,9 @@ class AsyncLocoClient(BatchingLocoClient):
         if self._cache_node is None:
             return
         parent, name = pathutil.split_fast(path)
-        info = self.dcache.get(pathutil.normalize(parent), self.now_us) \
-            if self.cache_enabled else None
+        info = self._dir_cached(parent)
         if info is None:
-            info = yield from self._g_dir(parent)
+            info = yield from self._g_dir_fetch(parent)
         fms = self._fms_for(info["uuid"], name)
         yield Rpc(self._cache_node, "invalidate",
                   (((fms, info["uuid"], name),), (), self.now_us))

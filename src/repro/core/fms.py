@@ -26,7 +26,14 @@ import contextlib
 import os
 import struct
 
-from repro.common.errors import Exists, FSError, InvalidArgument, NoEntry, PermissionDenied
+from repro.common.errors import (
+    CorruptDirents,
+    Exists,
+    FSError,
+    InvalidArgument,
+    NoEntry,
+    PermissionDenied,
+)
 from repro.common.stats import Counters
 from repro.common.types import Credentials, FileType, S_IFREG
 from repro.common.uuidgen import FID_BITS, FID_MASK, UuidAllocator
@@ -877,7 +884,9 @@ class FileMetadataServer:
 
         Charges: a get of each inode part (coupled: the record and its
         deserialization), the owner check, a delete of each part, then the
-        dirent list's get and put.
+        dirent list's get and put.  The dirent list is spliced before
+        anything is deleted, so a corrupt list raises ``CorruptDirents``
+        (charged the list's get) with the file still in place.
         """
         store = self.store
         data = store._data
@@ -896,11 +905,7 @@ class FileMetadataServer:
             klen = len(akey)
             charges += (("get", klen + len(a)), ("get", klen + len(c)))
             self._check_owner(a, cred, name)
-            charges += (("delete", klen), ("delete", klen))
-            if wal is not None:
-                wal.append_delete(akey)
-                wal.append_delete(ckey)
-            del data[akey], data[ckey]
+            dead = (akey, ckey)
         else:
             store._meter.charge_many(charges)
             charges.clear()
@@ -909,16 +914,21 @@ class FileMetadataServer:
                 raise NoEntry(name)
             a, c = self._split_coupled(buf)
             self._check_owner(a, cred, name)
-            fk = _F + key
-            charges.append(("delete", len(fk)))
-            if wal is not None:
-                wal.append_delete(fk)
-            del data[fk]
+            dead = (_F + key,)
         ekey = _E + dkey
         cur = data.get(ekey)
-        charges.append(("get", len(ekey) if cur is None else len(ekey) + len(cur)))
-        new, _ = dirent.remove_entry(cur or b"", name)
-        charges.append(("put", len(ekey) + len(new)))
+        eget = ("get", len(ekey) if cur is None else len(ekey) + len(cur))
+        try:
+            new, _ = dirent.remove_entry(cur or b"", name)
+        except CorruptDirents:
+            charges.append(eget)
+            raise
+        for k in dead:
+            charges.append(("delete", len(k)))
+            if wal is not None:
+                wal.append_delete(k)
+            del data[k]
+        charges += (eget, ("put", len(ekey) + len(new)))
         if wal is not None:
             wal.append_put(ekey, new)
         data[ekey] = new

@@ -8,7 +8,7 @@ stale reads across clients)."""
 
 import pytest
 
-from repro.common.config import BatchConfig, ClusterConfig, LookupCacheConfig
+from repro.common.config import BatchConfig, CacheConfig, ClusterConfig, LookupCacheConfig
 from repro.common.errors import Exists, FSError, NoEntry
 from repro.core.asyncclient import AsyncLocoClient
 from repro.core.client import BatchingLocoClient
@@ -333,6 +333,27 @@ class TestLookupCacheTier:
         writer.flush()
         with pytest.raises(NoEntry):
             reader.stat_file("/d/f")
+
+    def test_expired_parent_costs_one_lease_miss_per_write(self):
+        # a 50 us lease expires between the write's own resolution and the
+        # cache-tier invalidation that follows it; that second resolution
+        # must count its miss once, not once per d-cache probe
+        cfg = ClusterConfig(
+            num_metadata_servers=4,
+            batch=BatchConfig(enabled=True, all_ops=True, max_ops=64),
+            lookup_cache=LookupCacheConfig(enabled=True),
+            cache=CacheConfig(lease_seconds=50e-6),
+        )
+        fs = LocoFS(cfg, engine_kind="direct")
+        c = fs.client()
+        c.mkdir("/d")
+        c.create("/d/f")
+        c.flush()
+        c.write("/d/f", 0, b"x" * 10)
+        misses, expirations = c.dcache.misses, c.dcache.expirations
+        c.write("/d/f", 0, b"x" * 10)
+        assert c.dcache.expirations - expirations == 1
+        assert c.dcache.misses - misses == 1
 
     def test_switch_node_is_registered(self):
         fs = async_fs()

@@ -42,6 +42,7 @@ from repro.core.fms import FileMetadataServer, fkey
 from repro.core.fs import LocoFS
 from repro.core.lookupcache import LookupCacheServer, dir_cache_key, file_cache_key
 from repro.core.multidms import DirectoryShardServer
+from repro.kv.wal import OP_PUT, WriteAheadLog
 from repro.metadata import dirent
 from repro.metadata.acl import W_OK, X_OK, may_access
 from repro.metadata.layout import DIR_INODE, FILE_ACCESS, FILE_CONTENT, FILE_COUPLED
@@ -164,13 +165,20 @@ class RefFMS(FileMetadataServer):
         a, c = _ref_load(self, key, name)
         if not cred.is_root and cred.uid != FILE_ACCESS.read(a, "uid"):
             raise PermissionDenied(name)
+        # the dirent list is decoded before anything is deleted; a corrupt
+        # list is charged its read and leaves the file in place
+        ekey = b"E:" + dir_uuid.to_bytes(8, "big")
+        try:
+            newbuf, _ = ref_remove_entry(self.store.peek(ekey) or b"", name)
+        except CorruptDirents:
+            self.store.get(ekey)
+            raise
         if self.decoupled:
             self.store.delete(b"A:" + key)
             self.store.delete(b"C:" + key)
         else:
             self.store.delete(b"F:" + key)
-        ekey = b"E:" + dir_uuid.to_bytes(8, "big")
-        newbuf, _ = ref_remove_entry(self.store.get(ekey) or b"", name)
+        self.store.get(ekey)
         self.store.put(ekey, newbuf)
         self._nfiles -= 1
         return a, c
@@ -314,6 +322,30 @@ def test_missing_or_corrupt_dirent_list(mode):
     assert out[0] == "CorruptDirents"
     assert p.call(lambda s: s.op_rename_local(9, "c", 5, "x", ROOT_CRED))[0] == "CorruptDirents"
     p.call(lambda s: s.op_rename_local(5, "файл", 9, "y", ROOT_CRED))
+
+
+@pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
+def test_corrupt_dirent_list_leaves_the_file_in_place(decoupled, tmp_path):
+    """A truncated ``E:`` list fails unlink, export and local rename before
+    any inode part is deleted: the file still stats, the live-file count
+    agrees with a store scan, and the WAL holds no delete."""
+    fms = FileMetadataServer(sid=2, decoupled=decoupled,
+                             wal_path=str(tmp_path / "fms.wal"))
+    fms.op_create(9, "b", 0o644, USER, 1.0)
+    fms.op_create(9, "c", 0o644, USER, 2.0)
+    ekey = b"E:" + (9).to_bytes(8, "big")
+    fms.store.put(ekey, fms.store.get(ekey)[:-3])
+    before = fms.op_getattr(9, "b")
+    for op in (lambda: fms.op_remove(9, "b", ROOT_CRED),
+               lambda: fms.op_export_remove(9, "b", ROOT_CRED),
+               lambda: fms.op_rename_local(9, "b", 9, "z", ROOT_CRED)):
+        with pytest.raises(CorruptDirents):
+            op()
+        assert fms.op_getattr(9, "b") == before
+        assert fms.num_files_fast() == fms.num_files() == 2
+    fms.store.close()
+    records = list(WriteAheadLog.replay(str(tmp_path / "fms.wal")))
+    assert records and all(op == OP_PUT for op, _, _ in records)
 
 
 RENAMES = [
